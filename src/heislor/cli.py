@@ -206,7 +206,7 @@ def _cmd_curvature_check(args) -> int:
             if args.N is not None and N != args.N:
                 continue
             witnesses.append(curvature.tmcp_violation_report(t, N, args.wmax))
-    scan = curvature.appendix_limit_scan([0.0, 10.0, 20.0, 30.0, 40.0, 50.0])
+    scan = measure.growth_ratio_scan([0.0, 10.0, 20.0, 30.0, 40.0, 50.0])
     payload = {
         "kind": "curvature-check",
         "midpoint_det": numeric,

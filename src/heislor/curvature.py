@@ -15,8 +15,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from heislor import geodesics, measure
-from heislor.geodesics import GeoParam
+from heislor import geodesics
 from heislor.heisenberg_core import Event
 
 INF_N = math.inf
@@ -212,8 +211,3 @@ def bm_inequality_eval(
         rhs = c0 * vol0 ** (1.0 / N) + c1 * vol1 ** (1.0 / N)
     satisfied = lhs >= rhs - 1e-12 * max(abs(lhs), abs(rhs), 1.0)
     return BMReport(lhs, rhs, satisfied, params)
-
-
-def appendix_limit_scan(w_values) -> list:
-    """Unit-time-separation diamond volumes; decays to 0 for |w| large."""
-    return measure.growth_ratio_scan(w_values)

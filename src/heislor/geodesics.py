@@ -12,7 +12,7 @@ smoothly extended through w = 0 (straight lines).  At t = 1 this is a
 diffeomorphism onto the open chronological future of the origin, which gives
 the time separation tau and unique maximizing geodesics between chronologically
 related points.  Inversion is by reduction (boost + dilation) to one monotone
-scalar equation in w.
+scalar equation in w, the Dido inversion of minkowski_iso._solve_bending.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from heislor.heisenberg_core import (
     ORIGIN,
     Event,
     NotCausalError,
+    NotChronologicalError,
     SampledCurve,
     group_inv,
     group_mul,
@@ -35,13 +36,10 @@ from heislor.heisenberg_core import (
     in_chronological_future,
     lift,
 )
+from heislor.minkowski_iso import _hyperbola_length, _sinh_minus_x, _solve_bending
 
 # switch to series below this |w t| where the closed forms lose digits
 SERIES_WT = 1e-4
-
-
-class NotChronologicalError(ValueError):
-    """Operation requires a chronologically related pair."""
 
 
 class GeoParam(NamedTuple):
@@ -56,22 +54,6 @@ class Geodesic(NamedTuple):
     base: Event
     param: GeoParam
     t_max: float
-
-
-def _sinh_minus_x(x: float) -> float:
-    # sinh(x) - x without cancellation: series sum x^(2k+1)/(2k+1)! for k>=1.
-    if abs(x) >= 1.0:
-        return math.sinh(x) - x
-    term = x * x * x / 6.0
-    total = term
-    x2 = x * x
-    k = 1
-    while True:
-        k += 1
-        term *= x2 / ((2 * k) * (2 * k + 1))
-        total += term
-        if abs(term) <= 1e-18 * abs(total):
-            return total
 
 
 def exp_point(param, t: float) -> Event:
@@ -123,37 +105,6 @@ def exp_jacobian_det(param, t: float) -> float:
     )
 
 
-def _vertical_ratio(w: float) -> float:
-    # z/x^2 along the axis-normalized geodesic: (sinh w - w) / (8 sinh^2(w/2)),
-    # odd and strictly increasing with range (-1/4, 1/4).
-    if w == 0.0:
-        return 0.0
-    return _sinh_minus_x(w) / (8.0 * math.sinh(0.5 * w) ** 2)
-
-
-def _solve_bending(zt: float) -> float:
-    # invert _vertical_ratio by bisection on a geometrically grown bracket
-    if zt == 0.0:
-        return 0.0
-    s = 1.0 if zt > 0 else -1.0
-    target = abs(zt)
-    if target >= 0.25:
-        raise NotChronologicalError("vertical ratio outside (-1/4, 1/4)")
-    hi = 2.0
-    for _ in range(200):
-        if _vertical_ratio(hi) >= target:
-            break
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _vertical_ratio(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return s * 0.5 * (lo + hi)
-
-
 def log(q) -> GeoParam:
     """Inverse of exp_point(., 1) on the chronological future of the origin."""
     if not in_chronological_future(ORIGIN, q):
@@ -180,11 +131,8 @@ def tau(p, q) -> float:
     if -a * a + b * b + 4.0 * abs(c) >= -NULL_TOL:
         return 0.0  # null boundary: the maximizer exists but has zero length
     T = math.sqrt((a - b) * (a + b))
-    w = _solve_bending(c / (T * T))
-    if w == 0.0:
-        return T
-    # length sqrt(u^2 - v^2) of the axis-frame parameter, in stable form
-    return T * 0.5 * w / math.sinh(0.5 * w)
+    # length sqrt(u^2 - v^2) of the axis-frame parameter
+    return _hyperbola_length(T, _solve_bending(c / (T * T)))
 
 
 def geodesic_between(p, q, n: int = 1025) -> Union[Geodesic, SampledCurve]:
@@ -216,28 +164,11 @@ def geodesic_between(p, q, n: int = 1025) -> Union[Geodesic, SampledCurve]:
     return SampledCurve(lifted.times, out)
 
 
-_PAST_L = "L"
-_PAST_R = "R"
-
-
-def _hyperbolic_rotation(param, which: str) -> GeoParam:
+def _hyperbolic_rotation(param) -> GeoParam:
     u, v, w = param
     ch = math.cosh(w)
     sh = math.sinh(w)
-    if which == _PAST_R:
-        sh = -sh
     return GeoParam(u * ch + v * sh, u * sh + v * ch, w)
-
-
-def past_exp(param, t: float) -> Event:
-    """Past-directed branch: exp_point for t in [-1, 0].
-
-    Satisfies past_exp(p, -1) = -exp_point(R(p), 1) with R the hyperbolic
-    rotation (u, v) -> (u cosh w - v sinh w, -u sinh w + v cosh w).
-    """
-    if not -1.0 <= t <= 0.0:
-        raise ValueError("past parameter time must lie in [-1, 0]")
-    return exp_point(param, t)
 
 
 def midpoint_map(anchor, p) -> Event:
@@ -259,8 +190,8 @@ def geodesic_inversion(center, p) -> Event:
         image = exp_point(log(r), -1.0)
     elif in_chronological_future(r, ORIGIN):
         # r is in the chronological past; -r is a future point whose
-        # parameters transfer to the past branch via the L rotation
-        param = _hyperbolic_rotation(log(group_inv(r)), _PAST_L)
+        # parameters transfer to the past branch via the hyperbolic rotation
+        param = _hyperbolic_rotation(log(group_inv(r)))
         image = exp_point(param, 1.0)
     else:
         raise NotChronologicalError("point not chronologically related to center")

@@ -25,6 +25,10 @@ class NotCausalError(ValueError):
     """A discrete curve segment fails the causality condition dx >= |dy|."""
 
 
+class NotChronologicalError(ValueError):
+    """Operation requires a chronologically related pair."""
+
+
 class Event(NamedTuple):
     """A point (x, y, z) of the Heisenberg group; x is the time coordinate."""
 

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -25,9 +23,6 @@ from heislor import sr_metric
 from heislor.heisenberg_core import (
     NULL_TOL,
     ORIGIN,
-    Diamond,
-    Event,
-    dilate,
     group_inv,
     group_mul,
     in_causal_future,
@@ -38,17 +33,11 @@ from heislor.heisenberg_core import (
 # the growth-ratio scan
 UNIT_DIAMOND_VOLUME = (2.0 * math.log(2.0) - 1.0) / 32.0
 
-# weight of 4-dimensional diamond covers: Lebesgue volume of the unit diamond
-# in 4-d Minkowski space (two cones of height 1/2 and radius 1/2)
-OMEGA_4 = math.pi / 12.0
-
 
 def _omega(d: float) -> float:
-    if d == 4:
-        return OMEGA_4
-    # same two-cone construction in d space-time dimensions: 2 * (1/2) *
-    # vol_{d-1}(ball of radius 1/2) / ... kept proportional; only ratios and
-    # trends are consumed for d != 4
+    # weight of d-dimensional diamond covers: Lebesgue volume of the unit
+    # diamond of d-dimensional Minkowski space, two cones of height 1/2 over
+    # the (d-1)-ball of radius 1/2 (pi/24 at d = 4)
     k = d - 1
     ball = math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0) * (0.5) ** k
     return 2.0 * ball * 0.5 / d
@@ -85,20 +74,12 @@ def diamond_volume_closed(p, q) -> float:
     return -(T2 * T2 / 8.0) * _entropy_term(m, M)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("HEIS_SLOR_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def diamond_volume_mc(p, q, n: int, seed: int) -> VolumeEstimate:
     """Monte Carlo volume of J(p, q) by rejection in its bounding box.
 
     Deterministic for fixed (seed, n): samples are drawn in fixed-size
-    counter-based substreams and the acceptance counts summed in integers, so
-    the result does not depend on the worker count.
+    counter-based substreams keyed by (seed, chunk) and the acceptance
+    counts summed in integers.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -119,13 +100,7 @@ def diamond_volume_mc(p, q, n: int, seed: int) -> VolumeEstimate:
         pts = np.column_stack([x, y, z])
         return int(np.count_nonzero(sr_metric._diamond_membership(pts, a, b, c)))
 
-    n_chunks = (n + chunk - 1) // chunk
-    workers = _thread_count()
-    if workers > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            accepted = sum(pool.map(count, range(n_chunks)))
-    else:
-        accepted = sum(count(i) for i in range(n_chunks))
+    accepted = sum(count(i) for i in range((n + chunk - 1) // chunk))
     phat = accepted / n
     value = box_volume * phat
     stderr = box_volume * math.sqrt(max(phat * (1.0 - phat), 0.0) / n)
@@ -328,7 +303,7 @@ def hausdorff_bounds(center, radius, delta, seed, n_samples: int = 100000, rho=N
     d_norm = delta / radius
     k = _net_size(int(seed), int(n_samples), round(d_norm, 12))
     D = 1.0 / rho
-    upper = (2.0 ** 4) * k * OMEGA_4 * (2.0 * D * delta) ** 4
+    upper = (2.0 ** 4) * k * _omega(4) * (2.0 * D * delta) ** 4
     lower = radius ** 4 * _unit_ball_volume(int(seed)) / UNIT_DIAMOND_VOLUME
     return lower, upper
 

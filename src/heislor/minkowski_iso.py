@@ -8,6 +8,9 @@ outside the closed region there is no admissible curve.
 
 Everything is solved in boosted coordinates where the endpoint sits at (T, 0)
 on the time axis, T = sqrt(a^2 - b^2), and mapped back with the inverse boost.
+The hyperbola is found from its bending w, one monotone scalar equation in
+c/T^2 (_solve_bending); its lift is the geodesic with that bending, so the
+same solve gives geodesics.log and geodesics.tau.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from heislor.heisenberg_core import NULL_TOL, SampledCurve
+from heislor.heisenberg_core import NULL_TOL, NotChronologicalError, SampledCurve
 
 CASE_EMPTY = "empty"
 CASE_TIMELIKE_LINE = "timelike_line"
@@ -90,7 +93,9 @@ def boost_to_axis(a: float, b: float):
 def hyperbola_ordinate(y_c: float, T: float, x):
     """Ordinate f(x) of the hyperbola arc with vertex ordinate y_c.
 
-    f(x) = y_c - sgn(y_c) sqrt((x - T/2)^2 + y_c^2 - T^2/4), 0 <= x <= T.
+    f(x) = y_c - sgn(y_c) sqrt((x - T/2)^2 + y_c^2 - T^2/4), 0 <= x <= T,
+    evaluated as sgn(y_c) p / (|y_c| + sqrt(y_c^2 - p)) with p = x (T - x),
+    which neither cancels nor overflows when |y_c| >> T (small areas).
     Vectorized in x.
     """
     if abs(y_c) < T / 2 - NULL_TOL:
@@ -98,9 +103,10 @@ def hyperbola_ordinate(y_c: float, T: float, x):
     x = np.asarray(x, dtype=float)
     if np.any(x < -NULL_TOL) or np.any(x > T + NULL_TOL):
         raise ValueError("x outside [0, T]")
-    k2 = max(y_c * y_c - T * T / 4.0, 0.0)
-    s = 1.0 if y_c > 0 else -1.0
-    out = y_c - s * np.sqrt((x - T / 2.0) ** 2 + k2)
+    p = x * (T - x)
+    r = np.sqrt(np.maximum(p, 0.0))
+    y = abs(y_c)
+    out = math.copysign(1.0, y_c) * p / (y + np.sqrt(np.maximum(y - r, 0.0)) * np.sqrt(y + r))
     return out if out.ndim else float(out)
 
 
@@ -129,46 +135,67 @@ def hyperbola_area(y_c: float, T: float) -> float:
     return s * (first + k * k * _x_minus_asinh(T / (2.0 * k)))
 
 
-def solve_vertex(T: float, c: float) -> float:
-    """Vertex ordinate with A(y_c) = c, for 0 < |c| < T^2/4, by bisection.
+def _sinh_minus_x(x: float) -> float:
+    # sinh(x) - x without cancellation: series sum x^(2k+1)/(2k+1)! for k>=1.
+    if abs(x) >= 1.0:
+        return math.sinh(x) - x
+    term = x * x * x / 6.0
+    total = term
+    x2 = x * x
+    k = 1
+    while True:
+        k += 1
+        term *= x2 / ((2 * k) * (2 * k + 1))
+        total += term
+        if abs(term) <= 1e-18 * abs(total):
+            return total
 
-    The positive-branch area is continuous, strictly decreasing from T^2/4
-    (at y_c = T/2) to 0, so a geometrically grown bracket always closes in.
+
+def _vertical_ratio(w: float) -> float:
+    # z/x^2 along the axis-normalized geodesic: (sinh w - w) / (8 sinh^2(w/2)),
+    # odd and strictly increasing with range (-1/4, 1/4).
+    if w == 0.0:
+        return 0.0
+    return _sinh_minus_x(w) / (8.0 * math.sinh(0.5 * w) ** 2)
+
+
+def _solve_bending(zt: float) -> float:
+    """Bending w with _vertical_ratio(w) = zt, for |zt| < 1/4.
+
+    zt = c/T^2 is the Dido area in units of the squared chord; the hyperbola
+    with vertex ordinate sgn(c) (T/2) coth(|w|/2) encloses it, and its lift
+    is the geodesic with bending w.  Below |zt| = 1e-9 the series root 12 zt
+    is exact in float64; above, bisection on a geometrically grown bracket
+    runs until the midpoint equals a bracket end.
     """
-    if not 0.0 < abs(c) < T * T / 4.0:
-        raise ValueError("need 0 < |c| < T^2/4")
-    s = 1.0 if c > 0 else -1.0
-    target = abs(c)
-    lo = T / 2.0
-    hi = T / 2.0 * (1.0 + 1e-9)
-    if hyperbola_area(hi, T) > target:
-        lo = hi
-        hi = T
-        for _ in range(200):
-            if hyperbola_area(hi, T) < target:
-                break
-            lo = hi
-            hi *= 2.0
-    tol = 1e-12 * T * T
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = hyperbola_area(mid, T)
-        if abs(val - target) <= tol:
-            return s * mid
-        if val > target:
+    if zt == 0.0:
+        return 0.0
+    if abs(zt) < 1e-9:
+        return 12.0 * zt
+    s = 1.0 if zt > 0 else -1.0
+    target = abs(zt)
+    if target >= 0.25:
+        raise NotChronologicalError("vertical ratio outside (-1/4, 1/4)")
+    hi = 2.0
+    while _vertical_ratio(hi) < target:
+        hi *= 2.0
+    lo = 0.0
+    mid = 0.5 * hi
+    while lo < mid < hi:
+        if _vertical_ratio(mid) < target:
             lo = mid
         else:
             hi = mid
-    return s * 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return s * mid
 
 
-def _arc_length(y_c: float, T: float) -> float:
-    # Lorentzian arclength of the arc: 2 k asinh(T / (2k)), 0 at degeneration.
-    k2 = y_c * y_c - T * T / 4.0
-    if k2 <= 0.0:
-        return 0.0
-    k = math.sqrt(k2)
-    return 2.0 * k * math.asinh(T / (2.0 * k))
+def _hyperbola_length(T: float, w: float) -> float:
+    # Lorentzian length T (w/2) / sinh(w/2) of the arc of bending w over the
+    # chord T, in stable form; T for the straight line w = 0.
+    if w == 0.0:
+        return T
+    return T * 0.5 * w / math.sinh(0.5 * w)
 
 
 def solve(prob: IsoProblem) -> IsoSolution:
@@ -185,8 +212,9 @@ def solve(prob: IsoProblem) -> IsoSolution:
         return IsoSolution(case, T, None, boost, T)
     if case == CASE_BROKEN_NULL:
         return IsoSolution(case, T, None, boost, 0.0)
-    y_c = solve_vertex(T, c)
-    return IsoSolution(case, T, y_c, boost, _arc_length(y_c, T))
+    w = _solve_bending(c / (T * T))
+    y_c = math.copysign(0.5 * T / math.tanh(0.5 * abs(w)), c)
+    return IsoSolution(case, T, y_c, boost, _hyperbola_length(T, w))
 
 
 def sample_solution(sol: IsoSolution, prob: IsoProblem, n: int) -> SampledCurve:

@@ -27,7 +27,6 @@ from heislor.heisenberg_core import (
     group_mul,
     in_causal_future,
 )
-from heislor import geodesics
 from heislor.minkowski_iso import boost_to_axis
 
 

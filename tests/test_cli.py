@@ -138,3 +138,31 @@ def test_output_file_and_determinism(tmp_path, capsys):
     assert run(argv) == 0
     assert path.read_bytes() == first
     capsys.readouterr()
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+# Exact stdout of the fast README examples.  The iso-solve files hold the
+# vertex y_c = sgn(c) (T/2) coth(|w|/2) of the bending solve; for c = 1e-9 it
+# is T^3 / (12 c) to float precision.
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("tau", ["tau", "0", "0", "0", "2", "0", "0.5"]),
+        ("geodesic.json", ["geodesic", "0", "0", "0", "2", "0", "0.5"]),
+        (
+            "geodesic.csv",
+            ["geodesic", "0", "0", "0", "2", "0", "0.5", "--format", "csv", "--samples", "101"],
+        ),
+        ("diamond-volume.json", ["diamond-volume", "0", "0", "0", "1", "0", "0"]),
+        ("curvature-check.json", ["curvature-check"]),
+        ("iso-solve.json", ["iso-solve", "2", "0", "0.5"]),
+        ("iso-solve-small-area.json", ["iso-solve", "2", "0", "1e-9"]),
+    ],
+)
+def test_golden_stdout(capsys, name, argv):
+    code, out = invoke(capsys, argv)
+    assert code == 0
+    with open(os.path.join(GOLDEN, name + ".txt")) as fh:
+        assert out == fh.read()

@@ -8,7 +8,6 @@ import pytest
 from heislor.curvature import (
     BMReport,
     DistortionArgs,
-    appendix_limit_scan,
     bm_inequality_eval,
     distortion_tau,
     juillet_contradiction,
@@ -146,10 +145,3 @@ def test_bm_inequality_eval_entropic():
     assert rep.satisfied
     with pytest.raises(ValueError):
         bm_inequality_eval(0.0, 1.0, 1.0, 0.0, 2.0, 0.5, 1.0)
-
-
-def test_appendix_limit_scan_matches_measure():
-    scan = appendix_limit_scan([0.0, 10.0, 50.0])
-    assert abs(scan[0][1] - (2.0 * math.log(2.0) - 1.0) / 32.0) < 1e-15
-    assert scan[1][1] < scan[0][1]
-    assert scan[2][1] < scan[1][1]

@@ -18,7 +18,6 @@ from heislor.geodesics import (
     geodesic_inversion,
     log,
     midpoint_map,
-    past_exp,
     tau,
 )
 from heislor.heisenberg_core import (
@@ -184,13 +183,23 @@ def test_geodesic_between_errors():
         geodesic_between(ORIGIN, Event(-1.0, 0.0, 0.0))
 
 
-def test_past_exp_branch():
+def test_exp_point_past_branch():
+    # t in [-1, 0] runs the geodesic backwards into the chronological past
     param = GeoParam(1.0, 0.2, 1.3)
-    assert past_exp(param, 0.0) == ORIGIN
-    p = past_exp(param, -1.0)
+    assert exp_point(param, 0.0) == ORIGIN
+    p = exp_point(param, -1.0)
     assert in_chronological_future(p, ORIGIN)
-    with pytest.raises(ValueError):
-        past_exp(param, 0.5)
+
+
+@pytest.mark.parametrize("z", [1e-30, 1e-70, 1e-200])
+def test_log_round_trip_tiny_bending(z):
+    # below |z/x^2| = 1e-9 log takes the series root w = 12 z / x^2
+    q = Event(1.0, 0.0, z)
+    param = log(q)
+    assert param.w == 12.0 * z
+    back = exp_point(param, 1.0)
+    assert back.x == 1.0 and abs(back.y) <= 1e-15
+    assert abs(back.z - z) <= 4e-16 * z
 
 
 def test_midpoint_map_axis():

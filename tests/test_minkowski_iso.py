@@ -4,10 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from heislor.heisenberg_core import lorentzian_length, make_curve, signed_area
+from heislor.geodesics import tau
+from heislor.heisenberg_core import ORIGIN, Event, lorentzian_length, make_curve, signed_area
 from heislor.minkowski_iso import (
     CASE_BROKEN_NULL,
     CASE_EMPTY,
@@ -22,7 +21,6 @@ from heislor.minkowski_iso import (
     hyperbola_ordinate,
     sample_solution,
     solve,
-    solve_vertex,
 )
 
 
@@ -88,27 +86,36 @@ def test_hyperbola_area_degenerate_limit():
 
 def test_solve_vertex_oracle_and_residual():
     # frozen value confirmed by a 2e6-point scan of the closed-form area
-    y_c = solve_vertex(2.0, 0.5)
-    assert abs(y_c - 1.485948688399008) < 1e-9
-    assert abs(hyperbola_area(y_c, 2.0) - 0.5) < 1e-11
+    sol = solve(IsoProblem(2.0, 0.0, 0.5))
+    assert abs(sol.y_c - 1.485948688399008) < 1e-9
+    assert abs(hyperbola_area(sol.y_c, 2.0) - 0.5) < 1e-15
     # negative area mirrors the vertex
-    assert abs(solve_vertex(2.0, -0.5) + y_c) < 1e-11
-    with pytest.raises(ValueError):
-        solve_vertex(2.0, 0.0)
-    with pytest.raises(ValueError):
-        solve_vertex(2.0, 1.0)
+    assert solve(IsoProblem(2.0, 0.0, -0.5)).y_c == -sol.y_c
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.floats(0.5, 5.0),
-    st.floats(0.01, 0.99),
-    st.booleans(),
-)
-def test_solve_vertex_inverts_area(T, frac, neg):
-    c = frac * T * T / 4.0 * (-1.0 if neg else 1.0)
-    y_c = solve_vertex(T, c)
-    assert abs(hyperbola_area(y_c, T) - c) <= 1e-10 * T * T
+def test_solve_vertex_inverts_area():
+    # the vertex encloses the target area to 1e-9 relative at every scale of
+    # c / T^2, including areas far below the chord's square
+    for ratio in [1e-12, 1e-10, 1e-9, 1e-7, 1e-4, 1e-2, 0.1, 0.24, 0.2499]:
+        for c0 in (ratio, -ratio):
+            for a, b in [(2.0, 0.0), (0.3, 0.1), (50.0, -41.0)]:
+                sol = solve(IsoProblem(a, b, c0 * (a - b) * (a + b)))
+                c = c0 * sol.T * sol.T
+                assert sol.case == CASE_HYPERBOLA
+                assert abs(hyperbola_area(sol.y_c, sol.T) - c) <= 1e-9 * abs(c), (ratio, a, b)
+
+
+def test_solve_length_equals_tau():
+    # the Dido maximizer lifts to the geodesic: one length, bit for bit
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        T = 10.0 ** rng.uniform(-3.0, 3.0)
+        eta = rng.uniform(-3.0, 3.0)
+        a, b = T * math.cosh(eta), T * math.sinh(eta)
+        c = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-10.0, math.log10(0.2499)) * T * T
+        sol = solve(IsoProblem(a, b, c))
+        assert sol.case == CASE_HYPERBOLA
+        assert sol.max_length == tau(ORIGIN, Event(a, b, c))
 
 
 def test_solve_timelike_line():
@@ -163,6 +170,16 @@ def test_sample_solution_negative_area():
     curve = sample_solution(solve(prob), prob, 20001)
     area = signed_area(make_curve(curve.times, curve.points))
     assert abs(area - prob.c) < 1e-7
+
+
+@pytest.mark.parametrize("c", [1e-9, -1e-100, 1e-200])
+def test_sample_solution_small_area(c):
+    # the vertex lies about T^3 / (12 |c|) above the chord; the sampled arc
+    # still encloses c
+    prob = IsoProblem(2.0, 0.0, c)
+    curve = sample_solution(solve(prob), prob, 20001)
+    area = signed_area(make_curve(curve.times, curve.points))
+    assert abs(area - c) <= 1e-8 * abs(c)
 
 
 def test_sample_solution_broken_null_area():
