@@ -1,10 +1,13 @@
 """Distortion coefficients, contraction ratios, Brunn-Minkowski arithmetic."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from heislor import measure
+from heislor.cli import run
 from heislor.curvature import (
     BMReport,
     DistortionArgs,
@@ -136,6 +139,19 @@ def test_bm_inequality_eval_finite_n():
     # a midpoint volume of 1/32 against unit endpoints violates every N
     rep2 = bm_inequality_eval(1.0, 1.0, 1.0 / 32.0, 0.0, 3.0, 0.5, 1.0)
     assert not rep2.satisfied
+
+
+def test_appendix_limit_scan_matches_measure(capsys):
+    # the appendix scan that curvature-check reports is measure's unit-diamond scan
+    assert run(["curvature-check", "--t", "0.5", "--N", "2"]) == 0
+    reported = json.loads(capsys.readouterr().out)["appendix_scan"]
+    ws = [w for w, _ in reported]
+    assert ws == [0.0, 10.0, 20.0, 30.0, 40.0, 50.0]
+    assert reported == [[w, v] for w, v in measure.growth_ratio_scan(ws)]
+    scan = measure.growth_ratio_scan([0.0, 10.0, 50.0])
+    assert abs(scan[0][1] - (2.0 * math.log(2.0) - 1.0) / 32.0) < 1e-15
+    assert scan[1][1] < scan[0][1]
+    assert scan[2][1] < scan[1][1]
 
 
 def test_bm_inequality_eval_entropic():
