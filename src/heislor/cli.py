@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from heislor import curvature, geodesics, measure, minkowski_iso, sr_metric
 from heislor.geodesics import NotChronologicalError
-from heislor.heisenberg_core import Event, NotCausalError
+from heislor.heisenberg_core import Event, NotCausalError, group_mul
 from heislor.minkowski_iso import IsoProblem, NoSolutionError
 
 
@@ -29,7 +30,11 @@ def _emit(text: str, path):
 
 
 def _json(payload: dict, path):
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", path)
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise ValueError("the result is not finite, and JSON cannot hold it") from None
+    _emit(text + "\n", path)
 
 
 def _csv(header, rows, path):
@@ -78,13 +83,7 @@ def _cmd_geodesic(args) -> int:
     if isinstance(geo, geodesics.Geodesic):
         if args.format == "csv":
             ts = np.linspace(0.0, geo.t_max, args.samples)
-            rows = []
-            for t in ts:
-                pt = geodesics.exp_point(geo.param, t)
-                from heislor.heisenberg_core import group_mul
-
-                pt = group_mul(geo.base, pt)
-                rows.append((t, pt.x, pt.y, pt.z))
+            rows = [(t, *group_mul(geo.base, geodesics.exp_point(geo.param, t))) for t in ts]
             _csv(("t", "x", "y", "z"), rows, args.output)
         else:
             payload = {
@@ -120,45 +119,34 @@ def _cmd_diamond_volume(args) -> int:
     }
     if args.mc:
         est = measure.diamond_volume_mc(p, q, args.mc, args.seed)
-        payload.update(
-            {
-                "mc": est.value,
-                "stderr": est.stderr,
-                "samples": est.samples,
-                "seed": est.seed,
-            }
-        )
+        payload.update(mc=est.value, stderr=est.stderr, samples=est.samples, seed=est.seed)
     _json(payload, args.output)
     return 0
 
 
 def _cmd_hausdorff(args) -> int:
     center = Event(*args.center)
-    rows = []
-    probe = measure.dimension_probe(
-        center,
-        args.radius,
-        (3, 4, 5),
-        seed=args.seed,
-        n_samples=args.samples,
-        deltas=[args.delta, args.delta / 2.0, args.delta / 4.0],
-    )
-    for i, delta in enumerate(probe["deltas"]):
-        lower, upper = measure.hausdorff_bounds(
-            center, args.radius, delta, args.seed, n_samples=args.samples
+    deltas = [args.delta, args.delta / 2.0, args.delta / 4.0]
+    probe = measure.dimension_probe(center, args.radius, (3, 4, 5), args.seed, args.samples, deltas)
+    rows = [
+        (
+            delta,
+            *measure.hausdorff_bounds(center, args.radius, delta, args.seed, args.samples),
+            *(probe["dims"][d]["sums"][i] for d in (3.0, 4.0, 5.0)),
         )
-        rows.append(
-            (
-                delta,
-                lower,
-                upper,
-                probe["dims"][3.0]["sums"][i],
-                probe["dims"][4.0]["sums"][i],
-                probe["dims"][5.0]["sums"][i],
-            )
-        )
+        for i, delta in enumerate(probe["deltas"])
+    ]
     _csv(("delta", "lower", "upper", "sum_d3", "sum_d4", "sum_d5"), rows, args.output)
     return 0
+
+
+# The upper ball-box constant sup d(0, p) / max(|x|, |y|, sqrt|z|) is 2 sqrt(pi),
+# attained at (0, 0, +-1).  By homogeneity it is the least C with the box
+# [-1, 1]^2 x [-1, 1] inside B(0, C): with a = 1/C, the box [-a, a]^2 x
+# [-a^2, a^2] inside B(0, 1) = {|z| <= f(r)}, f as in measure._unit_ball_volume.
+# There r <= sqrt(2) a = 0.399 and |z| <= 1/(4 pi) <= f(r), which holds for
+# r <= 0.958; the poles (0, 0, +-1/(4 pi)) are on the ball's boundary.
+_BALL_BOX_CONSTANT = 2.0 * math.sqrt(math.pi)
 
 
 def _cmd_diamond_box(args) -> int:
@@ -172,40 +160,21 @@ def _cmd_diamond_box(args) -> int:
         "samples": int(report["samples"]),
         "rho": rho,
         "D": 1.0 / rho,
-        "C_estimate": _ball_box_constant(args.seed),
+        "C_estimate": _BALL_BOX_CONSTANT,
     }
     _json(payload, args.output)
     return 0
 
 
-def _ball_box_constant(seed) -> float:
-    # empirical upper ball-box constant: max of d(0,p) / max(|x|,|y|,sqrt|z|)
-    rng = np.random.default_rng([seed, 999])
-    pts = np.column_stack(
-        [
-            rng.uniform(-1.0, 1.0, 20000),
-            rng.uniform(-1.0, 1.0, 20000),
-            rng.uniform(-1.0, 1.0, 20000),
-        ]
-    )
-    d = sr_metric._distance_from_origin(pts)
-    norm = np.maximum(
-        np.maximum(np.abs(pts[:, 0]), np.abs(pts[:, 1])), np.sqrt(np.abs(pts[:, 2]))
-    )
-    return float(np.max(d / norm))
-
-
 def _cmd_curvature_check(args) -> int:
     numeric, analytic = curvature.midpoint_det_check()
     contradiction = curvature.juillet_contradiction()
-    witnesses = []
-    for t in (0.25, 0.5, 0.75):
-        for N in (1, 2, 5, 10):
-            if args.t is not None and t != args.t:
-                continue
-            if args.N is not None and N != args.N:
-                continue
-            witnesses.append(curvature.tmcp_violation_report(t, N, args.wmax))
+    witnesses = [
+        curvature.tmcp_violation_report(t, N, args.wmax)
+        for t in (0.25, 0.5, 0.75)
+        for N in (1, 2, 5, 10)
+        if args.t in (None, t) and args.N in (None, N)
+    ]
     scan = measure.growth_ratio_scan([0.0, 10.0, 20.0, 30.0, 40.0, 50.0])
     payload = {
         "kind": "curvature-check",

@@ -35,6 +35,7 @@ from heislor.heisenberg_core import (
     in_causal_future,
     in_chronological_future,
     lift,
+    require_finite,
 )
 from heislor.minkowski_iso import _hyperbola_length, _sinh_minus_x, _solve_bending
 
@@ -107,6 +108,7 @@ def exp_jacobian_det(param, t: float) -> float:
 
 def log(q) -> GeoParam:
     """Inverse of exp_point(., 1) on the chronological future of the origin."""
+    require_finite(q)
     if not in_chronological_future(ORIGIN, q):
         raise NotChronologicalError("point not in the chronological future")
     a, b, c = q
@@ -124,6 +126,7 @@ def log(q) -> GeoParam:
 
 def tau(p, q) -> float:
     """Time separation: maximal Lorentzian length of causal curves p -> q."""
+    require_finite(p, q)
     r = group_mul(group_inv(p), q)
     if not in_causal_future(ORIGIN, r):
         return 0.0
@@ -141,6 +144,7 @@ def geodesic_between(p, q, n: int = 1025) -> Union[Geodesic, SampledCurve]:
     Timelike pairs give a Geodesic record; pairs on the null boundary give the
     sampled lift of the straight or broken null line (n samples).
     """
+    require_finite(p, q)
     r = group_mul(group_inv(p), q)
     if r == ORIGIN:
         raise ValueError("need distinct endpoints")

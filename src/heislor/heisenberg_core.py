@@ -12,6 +12,7 @@ relative to the chord through the origin of the curve.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -92,6 +93,13 @@ def make_curve(times, points) -> SampledCurve:
     if not np.all(np.diff(times) > 0):
         raise ValueError("times must be strictly increasing")
     return SampledCurve(times, points)
+
+
+def require_finite(*points: PointLike) -> None:
+    """Raise ValueError if a coordinate of any of the points is NaN or infinite."""
+    for p in points:
+        if not all(map(math.isfinite, p)):
+            raise ValueError(f"non-finite coordinate in {tuple(p)}")
 
 
 def group_mul(p: PointLike, q: PointLike) -> Event:

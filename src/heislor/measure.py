@@ -91,13 +91,8 @@ def diamond_volume_mc(p, q, n: int, seed: int) -> VolumeEstimate:
     chunk = 1 << 19
 
     def count(i: int) -> int:
-        lo = i * chunk
-        m = min(chunk, n - lo)
-        rng = np.random.default_rng([seed, i])
-        x = rng.uniform(0.0, a, m)
-        y = rng.uniform(-a, a, m)
-        z = rng.uniform(-a * a / 4.0, a * a / 4.0, m)
-        pts = np.column_stack([x, y, z])
+        m = min(chunk, n - i * chunk)
+        pts = sr_metric.uniform_box([seed, i], (0.0, -a, -a * a / 4.0), (a, a, a * a / 4.0), m)
         return int(np.count_nonzero(sr_metric._diamond_membership(pts, a, b, c)))
 
     accepted = sum(count(i) for i in range((n + chunk - 1) // chunk))
@@ -140,19 +135,20 @@ def growth_ratio_scan(w_values) -> list:
 # center * dilate(radius, B(0,1)), so the bounds scale exactly by radius^d.
 
 
-@functools.lru_cache(maxsize=4)
-def _unit_ball_volume(seed: int, n: int = 400000) -> float:
-    # Lebesgue volume of the CC unit ball B(0,1), MC in [-1,1]^2 x [-1,1]
-    rng = np.random.default_rng([seed, 12345])
-    pts = np.column_stack(
-        [
-            rng.uniform(-1.0, 1.0, n),
-            rng.uniform(-1.0, 1.0, n),
-            rng.uniform(-1.0, 1.0, n),
-        ]
-    )
-    d = sr_metric._distance_from_origin(pts)
-    return 8.0 * float(np.count_nonzero(d <= 1.0)) / n
+def _unit_ball_volume() -> float:
+    # Lebesgue volume of the CC unit ball B(0,1) = {|z| <= f(r)}, r the planar
+    # radius: the arc of length 1 turning by phi in (0, 2 pi) has chord
+    # r = sin(phi/2) / (phi/2) and cuts off the area f = (phi - sin phi) /
+    # (2 phi^2), the most any horizontal curve of length <= 1 encloses over
+    # that chord.  vol = int_0^1 2 pi r 2 f(r) dr, by 40-node Gauss-Legendre
+    # in phi; 20 to 800 nodes agree to 3e-14.
+    xg, wg = np.polynomial.legendre.leggauss(40)
+    phi = math.pi * (xg + 1.0)
+    h = 0.5 * phi
+    r = np.sin(h) / h
+    f = (phi - np.sin(phi)) / (2.0 * phi * phi)
+    drdphi = 0.5 * (h * np.cos(h) - np.sin(h)) / (h * h)
+    return float(math.pi * np.sum(wg * 4.0 * math.pi * r * f * np.abs(drdphi)))
 
 
 @functools.lru_cache(maxsize=4)
@@ -162,14 +158,7 @@ def _half_ball_points(seed: int, n: int):
     got = 0
     chunk = max(2 * n, 65536)
     for i in range(200):
-        rng = np.random.default_rng([seed, i])
-        pts = np.column_stack(
-            [
-                rng.uniform(-0.5, 0.5, chunk),
-                rng.uniform(-0.5, 0.5, chunk),
-                rng.uniform(-0.25, 0.25, chunk),
-            ]
-        )
+        pts = sr_metric.uniform_box([seed, i], (-0.5, -0.5, -0.25), (0.5, 0.5, 0.25), chunk)
         keep = pts[sr_metric._distance_from_origin(pts) <= 0.5]
         out.append(keep)
         got += len(keep)
@@ -284,7 +273,15 @@ def _net_size(seed: int, n_samples: int, delta_round: float) -> int:
     return _greedy_net(pts, delta_round)
 
 
-def hausdorff_bounds(center, radius, delta, seed, n_samples: int = 100000, rho=None):
+def _cover_sum(d: float, k: int, delta: float) -> float:
+    # sum of omega_d tau^d over a net of k points of B(0, 1/2) at scale
+    # delta: each net ball inside a diamond of time separation 2 D delta
+    # (D = 1/rho), the cover dilated by 2 to swallow B(0, 1)
+    D = 1.0 / sr_metric.unit_diamond_inner_radius()
+    return (2.0 ** d) * k * _omega(d) * (2.0 * D * delta) ** d
+
+
+def hausdorff_bounds(center, radius, delta, seed, n_samples: int = 100000):
     """Lower and upper bounds for the 4-d Lorentzian Hausdorff pre-measure
     of the CC ball B(center, radius) at cover scale delta.
 
@@ -298,14 +295,9 @@ def hausdorff_bounds(center, radius, delta, seed, n_samples: int = 100000, rho=N
         raise ValueError("radius must be positive")
     if not 0.0 < delta < radius / 2.0:
         raise ValueError("need 0 < delta < radius/2")
-    if rho is None:
-        rho = sr_metric.unit_diamond_inner_radius()
-    d_norm = delta / radius
-    k = _net_size(int(seed), int(n_samples), round(d_norm, 12))
-    D = 1.0 / rho
-    upper = (2.0 ** 4) * k * _omega(4) * (2.0 * D * delta) ** 4
-    lower = radius ** 4 * _unit_ball_volume(int(seed)) / UNIT_DIAMOND_VOLUME
-    return lower, upper
+    k = _net_size(int(seed), int(n_samples), round(delta / radius, 12))
+    lower = radius ** 4 * _unit_ball_volume() / UNIT_DIAMOND_VOLUME
+    return lower, _cover_sum(4, k, delta)
 
 
 def dimension_probe(center, radius, d_values, seed=0, n_samples: int = 100000, deltas=None) -> dict:
@@ -314,8 +306,6 @@ def dimension_probe(center, radius, d_values, seed=0, n_samples: int = 100000, d
     The sums diverge for d < 4, vanish for d > 4 and stabilize at d = 4;
     the report lists (delta, sum) per trial dimension and a trend tag.
     """
-    rho = sr_metric.unit_diamond_inner_radius()
-    D = 1.0 / rho
     if deltas is None:
         deltas = [radius * f for f in (0.4, 0.2, 0.1, 0.05)]
     sizes = [
@@ -323,10 +313,7 @@ def dimension_probe(center, radius, d_values, seed=0, n_samples: int = 100000, d
     ]
     report = {"deltas": list(map(float, deltas)), "net_sizes": sizes, "dims": {}}
     for d in d_values:
-        sums = [
-            (2.0 ** d) * k * _omega(d) * (2.0 * D * delta) ** d
-            for k, delta in zip(sizes, deltas)
-        ]
+        sums = [_cover_sum(d, k, delta) for k, delta in zip(sizes, deltas)]
         ratios = [s2 / s1 for s1, s2 in zip(sums, sums[1:])]
         # monotone growth reads as divergence; bounded per-halving ratios as
         # stability; anything dropping faster than a halving as vanishing

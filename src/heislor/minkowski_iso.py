@@ -192,8 +192,9 @@ def _solve_bending(zt: float) -> float:
 
 def _hyperbola_length(T: float, w: float) -> float:
     # Lorentzian length T (w/2) / sinh(w/2) of the arc of bending w over the
-    # chord T, in stable form; T for the straight line w = 0.
-    if w == 0.0:
+    # chord T, in stable form.  Below |w| = 1e-8 the factor 1 - w^2/24 + ...
+    # rounds to 1, and T w/2 may be subnormal: return T.
+    if abs(w) < 1e-8:
         return T
     return T * 0.5 * w / math.sinh(0.5 * w)
 

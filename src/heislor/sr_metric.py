@@ -26,6 +26,7 @@ from heislor.heisenberg_core import (
     group_inv,
     group_mul,
     in_causal_future,
+    require_finite,
 )
 from heislor.minkowski_iso import boost_to_axis
 
@@ -149,11 +150,12 @@ def _stretch_table():
 
 
 def _distance_fast(xyz: np.ndarray) -> np.ndarray:
-    """Interpolated CC distance from the origin; relative error < 1e-6.
+    """Interpolated CC distance from the origin; relative error < 2.7e-7.
 
-    Used by the Hausdorff net construction where millions of pairwise
-    distances are compared against a threshold and the scalar solve of
-    _distance_from_origin would dominate the runtime.
+    The bound is the largest error on 2e6 values of |z|/chord^2 in
+    [e^-30, e^40]; rows above the table, past e^20, and full circles take
+    the exact _distance_from_origin.  Used by the Hausdorff net, where
+    millions of pairwise distances are compared against a threshold.
     """
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
     chord = np.hypot(xyz[:, 0], xyz[:, 1])
@@ -163,15 +165,17 @@ def _distance_fast(xyz: np.ndarray) -> np.ndarray:
     m = az / (safe_chord * safe_chord)
     lm_tab, lpsi_tab = _stretch_table()
     lm = np.log(np.maximum(m, 1e-300))
-    psi = np.exp(np.interp(lm, lm_tab, lpsi_tab))
-    out = safe_chord * psi
-    out = np.where(lm < lm_tab[0], chord, out)  # straight-segment regime
-    # beyond the table the arc closes up: d -> 2 sqrt(pi |z|)
-    return np.where(circ | (lm > lm_tab[-1]), 2.0 * np.sqrt(math.pi * az), out)
+    # below the table log psi is 0 to float precision, as at its first entry
+    out = safe_chord * np.exp(np.interp(lm, lm_tab, lpsi_tab))
+    far = np.flatnonzero(circ | (lm > lm_tab[-1]))
+    if len(far):
+        out[far] = _distance_from_origin(xyz[far])
+    return out
 
 
 def sr_distance(p, q) -> float:
     """Carnot-Caratheodory distance between two points of the group."""
+    require_finite(p, q)
     r = group_mul(group_inv(p), q)
     if r.z == 0.0:
         return math.hypot(r.x, r.y)
@@ -201,6 +205,13 @@ def _diamond_membership(pts: np.ndarray, a: float, b: float, c: float):
     return fut & past
 
 
+def uniform_box(key, lo, hi, n: int) -> np.ndarray:
+    """n uniform points of the box [lo, hi] in R^3 from the random substream
+    default_rng(key), drawn one coordinate column after the other."""
+    rng = np.random.default_rng(key)
+    return np.column_stack([rng.uniform(a, b, n) for a, b in zip(lo, hi)])
+
+
 def sample_diamond(q, n: int, seed) -> np.ndarray:
     """n uniform points of the diamond J(0, q), by rejection in its box.
 
@@ -220,11 +231,7 @@ def sample_diamond(q, n: int, seed) -> np.ndarray:
     chunk = max(4 * n, 65536)
     for i in range(10000):
         chunk = min(chunk, 4 << 20)
-        rng = np.random.default_rng([seed, i])
-        x = rng.uniform(0.0, a, chunk)
-        y = rng.uniform(-a, a, chunk)
-        z = rng.uniform(-a * a / 4.0, a * a / 4.0, chunk)
-        pts = np.column_stack([x, y, z])
+        pts = uniform_box([seed, i], (0.0, -a, -a * a / 4.0), (a, a, a * a / 4.0), chunk)
         keep = pts[_diamond_membership(pts, a, b, c)]
         out.append(keep)
         got += len(keep)
@@ -278,46 +285,59 @@ def diamond_in_box_check(p, q, n: int, seed) -> dict:
     return report
 
 
-@functools.lru_cache(maxsize=8)
-def unit_diamond_inner_radius(n_per_axis: int = 700) -> float:
+# The boundary of the unit diamond J((-1,0,0), (1,0,0)) is four sheets:
+# z + y/2 = +-((1+x)^2 - y^2)/4 bounding J+((-1,0,0)) and y/2 - z =
+# +-((1-x)^2 - y^2)/4 bounding J-((1,0,0)).  (x, y, z) -> (x, -y, -z) and
+# (-x, y, -z) are group automorphisms lifting reflections of the plane, so
+# they keep the CC distance from the origin.  The first keeps the time
+# orientation and both vertices, the second reverses it and swaps them: both
+# map the diamond onto itself, and together they carry the sheet with the +
+# sign onto the other three.  So the distance to the boundary is its minimum
+# on that one sheet.
+
+
+def _boundary_sheet_distance(x, s):
+    # CC distance from the origin to the point y = s (1 + x) of the + sheet of
+    # J+((-1,0,0)); inf off the diamond (|x| > 1, |s| > 1 or outside J-((1,0,0)))
+    h = 1.0 + x
+    y = s * h
+    z = 0.25 * h * h * (1.0 - s * s) - 0.5 * y
+    on = (np.abs(x) <= 1.0) & (np.abs(s) <= 1.0)
+    on &= y * y + 4.0 * np.abs(0.5 * y - z) <= (1.0 - x) ** 2
+    return np.where(on, _distance_from_origin(np.column_stack([x, y, z])), np.inf)
+
+
+def _inner_radius_minimizer():
+    # (d, x, s): the minimum d of _boundary_sheet_distance and its argument.
+    # A 61 x 61 scan of [-1, 1]^2, then 12 rounds of a 9 x 9 grid spanning
+    # one cell of the previous grid either side of its best point, so the
+    # spacing shrinks 4x a round, to 2e-9.  The minimum is interior, at
+    # x = -0.18176, s = 0.34901.
+    x0 = s0 = 0.0
+    half, n = 1.0, 61
+    for _ in range(13):
+        u = np.linspace(-half, half, n)
+        x, s = (a.ravel() for a in np.meshgrid(x0 + u, s0 + u))
+        d = _boundary_sheet_distance(x, s)
+        i = int(np.argmin(d))
+        x0, s0 = float(x[i]), float(s[i])
+        half, n = u[1] - u[0], 9
+    return float(d[i]), x0, s0
+
+
+@functools.lru_cache(maxsize=1)
+def unit_diamond_inner_radius() -> float:
     """Largest rho with the CC ball B(0, rho) inside J((-1,0,0), (1,0,0)).
 
-    Estimated as the minimum of sr_distance(0, .) over a dense grid on the two
-    boundary sheets y^2 + 4|z -+ y/2| = (1 -+ x)^2 of the unit diamond.
+    The solved minimum of sr_distance(0, .) over the diamond's boundary,
+    0.3412244606961536, less 1e-14, its error bound: near the minimizer the
+    float distance is within 1.1e-16 of a 30-digit one, and the last grid's
+    spacing costs below 1e-18.  So the ball is inside the diamond.
     """
-    xs = np.linspace(-1.0, 1.0, n_per_axis)
-    ss = np.linspace(-1.0, 1.0, n_per_axis)
-    x, s = np.meshgrid(xs, ss, indexing="ij")
-    x = x.ravel()
-    s = s.ravel()
-    best = math.inf
-    for sign in (1.0, -1.0):
-        # future-cone sheet of (-1,0,0): |z + y/2| = ((1+x)^2 - y^2)/4
-        half = 1.0 + x
-        y = s * half
-        za = sign * (half * half - y * y) / 4.0 - y / 2.0
-        # past-cone sheet of (1,0,0): |y/2 - z| = ((1-x)^2 - y^2)/4
-        half2 = 1.0 - x
-        y2 = s * half2
-        zb = y2 / 2.0 - sign * (half2 * half2 - y2 * y2) / 4.0
-        for yy, zz in ((y, za), (y2, zb)):
-            pts = np.column_stack([x, yy, zz])
-            # keep only the part of the sheet on the diamond boundary, i.e.
-            # inside the other cone; test in the frame translated by (1,0,0)
-            shifted = np.column_stack(
-                [pts[:, 0] + 1.0, pts[:, 1], pts[:, 2] + 0.5 * pts[:, 1]]
-            )
-            cand = pts[_diamond_membership(shifted, 2.0, 0.0, 0.0)]
-            if len(cand):
-                best = min(best, float(np.min(_distance_from_origin(cand))))
-            # freed here, not when the next sheet replaces them: alive while
-            # the next sign builds its sheets, they set the peak memory of
-            # the Hausdorff pipeline
-            del pts, shifted, cand
-    return best
+    return _inner_radius_minimizer()[0] - 1e-14
 
 
-def ball_in_diamond(p, r: float, rho: float | None = None) -> Diamond:
+def ball_in_diamond(p, r: float) -> Diamond:
     """A diamond containing the CC ball B(p, r), with tau-diameter 2 r / rho.
 
     Scales the unit construction: with D = 1/rho the diamond runs from
@@ -325,9 +345,7 @@ def ball_in_diamond(p, r: float, rho: float | None = None) -> Diamond:
     """
     if not r > 0:
         raise ValueError("radius must be positive")
-    if rho is None:
-        rho = unit_diamond_inner_radius()
-    s = r / rho
+    s = r / unit_diamond_inner_radius()
     lo = group_mul(p, Event(-s, 0.0, 0.0))
     hi = group_mul(p, Event(s, 0.0, 0.0))
     return Diamond(lo, hi)

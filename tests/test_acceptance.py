@@ -319,7 +319,6 @@ def test_criterion_10_hausdorff_dimension_probe():
         sr_metric._stretch_table,
         measure._half_ball_points,
         measure._net_size,
-        measure._unit_ball_volume,
     ):
         cached.cache_clear()
     t0 = time.perf_counter()

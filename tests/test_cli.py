@@ -2,12 +2,15 @@
 
 import io
 import json
+import math
 import os
 
 import jsonschema
+import numpy as np
 import pytest
 
-from heislor.cli import run
+from heislor.cli import _BALL_BOX_CONSTANT, run
+from heislor.sr_metric import _distance_from_origin
 
 SCHEMA = json.load(
     open(os.path.join(os.path.dirname(__file__), "..", "schemas", "report.json"))
@@ -108,7 +111,33 @@ def test_diamond_box_json(capsys):
     assert payload["inclusion_pass"] is True
     assert payload["samples"] == 20000
     assert abs(payload["rho"] * payload["D"] - 1.0) < 1e-12
-    assert payload["C_estimate"] > 1.0
+    assert payload["C_estimate"] == 2.0 * math.sqrt(math.pi)
+
+
+def test_ball_box_constant_bounds_box_faces():
+    # d(0, p) over the faces of the box max(|x|, |y|, sqrt|z|) = 1, on a
+    # 401 x 401 grid each: never above 2 sqrt(pi), which the poles attain
+    g = np.linspace(-1.0, 1.0, 401)
+    a, b = (t.ravel() for t in np.meshgrid(g, g))
+    one = np.ones_like(a)
+    faces = []
+    for sign in (1.0, -1.0):
+        faces += [(sign * one, a, b), (a, sign * one, b), (a, b, sign * one)]
+    d = _distance_from_origin(np.vstack([np.column_stack(f) for f in faces]))
+    assert np.max(d) == _BALL_BOX_CONSTANT == 2.0 * math.sqrt(math.pi)
+    assert d[200 * 401 + 200 + 2 * len(a)] == _BALL_BOX_CONSTANT  # (0, 0, 1)
+
+
+def test_nonfinite_input_and_output_exit_1(capsys):
+    for argv in (
+        ["tau", "nan", "0", "0", "1", "0", "0"],
+        ["tau", "0", "0", "0", "inf", "0", "0"],
+        ["geodesic", "0", "0", "0", "2", "nan", "0.5"],
+        # the vertex ordinate (T/2) coth(6 c / T^2) overflows
+        ["iso-solve", "2", "0", "1e-310"],
+    ):
+        code, out = invoke(capsys, argv)
+        assert code == 1 and out == ""
 
 
 def test_curvature_check_json(capsys):
@@ -145,7 +174,8 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 # Exact stdout of the fast README examples.  The iso-solve files hold the
 # vertex y_c = sgn(c) (T/2) coth(|w|/2) of the bending solve; for c = 1e-9 it
-# is T^3 / (12 c) to float precision.
+# is T^3 / (12 c) to float precision.  The hausdorff and diamond-box files pin
+# the inner radius rho, the unit-ball volume behind `lower` and C_estimate.
 @pytest.mark.parametrize(
     "name, argv",
     [
@@ -159,6 +189,8 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
         ("curvature-check.json", ["curvature-check"]),
         ("iso-solve.json", ["iso-solve", "2", "0", "0.5"]),
         ("iso-solve-small-area.json", ["iso-solve", "2", "0", "1e-9"]),
+        ("hausdorff.csv", ["hausdorff", "--radius", "1", "--delta", "0.4", "--samples", "5000"]),
+        ("diamond-box.json", ["diamond-box", "0", "0", "0", "2", "0", "0", "--samples", "2000"]),
     ],
 )
 def test_golden_stdout(capsys, name, argv):

@@ -29,6 +29,7 @@ from heislor.heisenberg_core import (
     group_mul,
     in_chronological_future,
 )
+from heislor.sr_metric import sr_distance
 
 # exp/log round trips are well conditioned for moderate bending; the error
 # grows like e^{2|w|} (see test_round_trip_conditioning_growth), so the
@@ -157,6 +158,14 @@ def test_tau_homogeneous_under_dilation(param, lam):
     assert abs(t1 - lam * t0) <= 1e-10 * lam * t0
 
 
+@pytest.mark.parametrize("w", [2.2250738585e-313, 1e-200, 1e-9, -1e-9])
+def test_tau_tiny_bending_is_the_chord(w):
+    # (w/2) / sinh(w/2) rounds to 1, also where T w/2 is subnormal
+    q = exp_point(GeoParam(0.125, 0.0625, w), 1.0)
+    assert tau(ORIGIN, q) == math.sqrt(0.125 ** 2 - 0.0625 ** 2)
+    assert tau(ORIGIN, dilate(2.0, q)) == 2.0 * tau(ORIGIN, q)
+
+
 def test_geodesic_between_timelike():
     p = Event(0.2, -0.1, 0.05)
     q = group_mul(p, exp_point(GeoParam(1.0, 0.3, 1.5), 1.0))
@@ -181,6 +190,24 @@ def test_geodesic_between_errors():
         geodesic_between(ORIGIN, ORIGIN)
     with pytest.raises(NotCausalError):
         geodesic_between(ORIGIN, Event(-1.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_coordinates_rejected(bad):
+    q = Event(2.0, 0.0, 0.5)
+    for k in range(3):
+        wrong = Event(*(bad if i == k else c for i, c in enumerate(q)))
+        for call in (
+            lambda: tau(ORIGIN, wrong),
+            lambda: tau(wrong, q),
+            lambda: log(wrong),
+            lambda: geodesic_between(ORIGIN, wrong),
+            lambda: geodesic_between(wrong, q),
+            lambda: sr_distance(wrong, q),
+            lambda: sr_distance(ORIGIN, wrong),
+        ):
+            with pytest.raises(ValueError, match="non-finite"):
+                call()
 
 
 def test_exp_point_past_branch():

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -13,6 +14,7 @@ from heislor.measure import (
     _half_ball_points,
     _net_indices,
     _omega,
+    _unit_ball_volume,
     _unit_separation_volume,
     diamond_volume_closed,
     diamond_volume_mc,
@@ -152,6 +154,34 @@ def test_hausdorff_bounds_ordering_and_scaling():
         hausdorff_bounds(ORIGIN, 1.0, 0.6, seed=0)
     with pytest.raises(ValueError):
         hausdorff_bounds(ORIGIN, -1.0, 0.1, seed=0)
+
+
+def test_unit_ball_volume_matches_mpmath_quad():
+    # the same profile, r = sin(phi/2)/(phi/2) and f = (phi - sin phi)/(2 phi^2),
+    # integrated by mpmath at 30 digits
+    with mp.workdps(30):
+
+        def integrand(phi):
+            h = phi / 2
+            r = mp.sin(h) / h
+            f = (phi - mp.sin(phi)) / (2 * phi * phi)
+            return 4 * mp.pi * r * f * abs(mp.diff(lambda t: mp.sin(t / 2) / (t / 2), phi))
+
+        exact = mp.quad(integrand, [0, mp.pi, 2 * mp.pi])
+    assert abs(_unit_ball_volume() - float(exact)) <= 1e-14
+
+
+def test_hausdorff_upper_is_the_d4_cover_sum():
+    deltas = [0.4, 0.2, 0.1]
+    rep = dimension_probe(ORIGIN, 1.0, [4], seed=1, n_samples=5000, deltas=deltas)
+    lowers = set()
+    for delta, s4 in zip(deltas, rep["dims"][4.0]["sums"]):
+        lower, upper = hausdorff_bounds(ORIGIN, 1.0, delta, seed=1, n_samples=5000)
+        assert upper == s4
+        lowers.add(lower)
+    # the lower bound is the exact ball volume, the same for every seed
+    lowers.add(hausdorff_bounds(ORIGIN, 1.0, 0.4, seed=2, n_samples=5000)[0])
+    assert lowers == {_unit_ball_volume() / UNIT_DIAMOND_VOLUME}
 
 
 def test_dimension_probe_trends_small():

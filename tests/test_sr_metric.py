@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heislor.heisenberg_core import ORIGIN, Event, dilate, group_mul
+from heislor.heisenberg_core import ORIGIN, Event, dilate, group_mul, in_causal_future
 from heislor.sr_metric import (
     BoxSpec,
     _arc_ratio,
+    _boundary_sheet_distance,
+    _diamond_membership,
     _distance_fast,
     _distance_from_origin,
+    _inner_radius_minimizer,
     _solve_arc_angle,
     _x_minus_sin,
     ball_in_diamond,
@@ -99,7 +102,19 @@ def test_distance_fast_matches_exact():
     )
     exact = _distance_from_origin(pts)
     fast = _distance_fast(pts)
-    assert np.max(np.abs(fast - exact) / exact) < 1e-5
+    assert np.max(np.abs(fast - exact) / exact) < 2.7e-7
+
+
+def test_distance_fast_above_table_is_exact():
+    # |z| / chord^2 past e^20, where the table ends, and the full circle
+    m = np.exp(np.linspace(19.9, 40.0, 2001))
+    pts = np.column_stack([np.ones_like(m), np.zeros_like(m), m])
+    pts = np.vstack([pts, [0.0, 0.0, 2.0]])
+    exact = _distance_from_origin(pts)
+    fast = _distance_fast(pts)
+    above = np.append(m > math.exp(20.0), True)
+    assert np.array_equal(fast[above], exact[above])
+    assert np.max(np.abs(fast / exact - 1.0)) < 2.7e-7
 
 
 def test_solve_arc_angle_round_trip():
@@ -173,10 +188,78 @@ def test_diamond_in_box_left_translated():
     assert rep["inclusion_pass"] is True
 
 
-def test_unit_diamond_inner_radius_frozen():
+def _mp_sheet_distance(x, s):
+    # _boundary_sheet_distance at 30 digits: the Dido arc-angle equation
+    # solved by mpmath.findroot
+    with mp.workdps(30):
+        x, s = mp.mpf(x), mp.mpf(s)
+        h = 1 + x
+        y = s * h
+        z = h * h * (1 - s * s) / 4 - y / 2
+        chord = mp.hypot(x, y)
+        m = abs(z) / chord ** 2
+        phi = mp.findroot(lambda p: (p - mp.sin(p)) / (8 * mp.sin(p / 2) ** 2) - m, 2)
+        return chord * (phi / 2) / mp.sin(phi / 2)
+
+
+def test_unit_diamond_inner_radius_below_mpmath_minimum():
     rho = unit_diamond_inner_radius()
-    assert abs(rho - 0.3412498740520534) < 1e-12  # frozen grid-scan value
-    assert 0.0 < rho < 1.0
+    d, x, s = _inner_radius_minimizer()
+    at = _mp_sheet_distance(x, s)
+    assert rho <= at and float(at) - rho <= 1e-12
+    assert abs(d - float(at)) <= 1e-15
+    # a local minimum: every neighbour at 1e-4 and at 1e-6 is higher
+    for h in (1e-4, 1e-6):
+        for dx in (-h, 0.0, h):
+            for ds in (-h, 0.0, h):
+                if dx or ds:
+                    near = _mp_sheet_distance(x + dx, s + ds)
+                    assert near >= at - mp.mpf(1e-20) and rho <= near
+
+
+def _unit_diamond_sheets(x, s):
+    # the four boundary sheets of J((-1,0,0), (1,0,0)) over the (x, s) grid,
+    # y = s (1 -+ x), each kept where it bounds the diamond
+    sheets = []
+    for sign in (1.0, -1.0):
+        h = 1.0 + x
+        y = s * h
+        fut = np.column_stack([x, y, sign * 0.25 * (h * h - y * y) - 0.5 * y])
+        h = 1.0 - x
+        y = s * h
+        past = np.column_stack([x, y, 0.5 * y - sign * 0.25 * (h * h - y * y)])
+        sheets += [pts[_in_unit_diamond(pts)] for pts in (fut, past)]
+    return sheets
+
+
+def _in_unit_diamond(pts):
+    shifted = np.column_stack([pts[:, 0] + 1.0, pts[:, 1], pts[:, 2] + 0.5 * pts[:, 1]])
+    return _diamond_membership(shifted, 2.0, 0.0, 0.0)
+
+
+def test_inner_radius_one_sheet_by_symmetry():
+    # (x, y, z) -> (x, -y, -z) and (-x, y, -z) map the unit diamond onto
+    # itself and keep the distance from the origin: the minimizer's images
+    # lie on the diamond's boundary at the same distance
+    d, x, s = _inner_radius_minimizer()
+    h = 1.0 + x
+    y = s * h
+    z = 0.25 * h * h * (1.0 - s * s) - 0.5 * y
+    images = np.array([[x, y, z], [x, -y, -z], [-x, y, -z], [-x, -y, z]])
+    assert np.all(_distance_from_origin(images) == d)
+    assert np.all(_in_unit_diamond(images))
+    ix, iy, iz = images.T
+    fut = (1.0 + ix) ** 2 - iy * iy - 4.0 * np.abs(iz + 0.5 * iy)
+    past = (1.0 - ix) ** 2 - iy * iy - 4.0 * np.abs(0.5 * iy - iz)
+    assert np.all(np.abs(np.minimum(fut, past)) <= 1e-15)
+    # a 401 x 401 scan of each of the four sheets: the same minimum on every
+    # sheet (the grid is symmetric too), above rho
+    g = np.linspace(-1.0, 1.0, 401)
+    gx, gs = (a.ravel() for a in np.meshgrid(g, g))
+    mins = [float(np.min(_distance_from_origin(p))) for p in _unit_diamond_sheets(gx, gs)]
+    assert np.allclose(mins, mins[0], rtol=1e-14, atol=0.0)
+    assert unit_diamond_inner_radius() < mins[0] < d + 1e-4
+    assert float(np.min(_boundary_sheet_distance(gx, gs))) == mins[0]
 
 
 def test_ball_in_diamond_scaling():
@@ -189,10 +272,26 @@ def test_ball_in_diamond_scaling():
         ball_in_diamond(ORIGIN, 0.0)
 
 
+def test_ball_in_diamond_contains_minimizing_directions():
+    # the points of the unit diamond's boundary nearest the origin, dilated
+    # to CC distance r (1 - 1e-9) and translated by p, lie in
+    # ball_in_diamond(p, r): rho is no larger than the true inner radius
+    x, s = -0.18176234547254748, 0.34901403857172544  # 30-digit minimizer
+    h = 1.0 + x
+    y = s * h
+    z = 0.25 * h * h * (1.0 - s * s) - 0.5 * y
+    near = [Event(x, y, z), Event(x, -y, -z), Event(-x, y, -z), Event(-x, -y, z)]
+    for p in (ORIGIN, Event(0.2, 0.1, -0.05)):
+        for r in (0.4, 1.0, 3.0):
+            dia = ball_in_diamond(p, r)
+            for b in near:
+                pt = group_mul(p, dilate(r * (1.0 - 1e-9) / sr_distance(ORIGIN, b), b))
+                assert in_causal_future(dia.p, pt)
+                assert in_causal_future(pt, dia.q)
+
+
 def test_ball_in_diamond_contains_ball_samples():
     # random points at CC distance < r from p land inside the diamond
-    from heislor.heisenberg_core import in_causal_future
-
     p = Event(0.2, 0.1, -0.05)
     r = 0.4
     dia = ball_in_diamond(p, r)
