@@ -8,11 +8,12 @@ hyperbolic bending of the planar projection.  At parameter time t:
     y(t) = (v sinh(wt) + u (cosh(wt) - 1)) / w
     z(t) = (u^2 - v^2) (sinh(wt) - wt) / (2 w^2)
 
-smoothly extended through w = 0 (straight lines).  At t = 1 this is a
+by series below |wt| = 1e-8 (straight lines at w = 0).  At t = 1 this is a
 diffeomorphism onto the open chronological future of the origin, which gives
 the time separation tau and unique maximizing geodesics between chronologically
 related points.  Inversion is by reduction (boost + dilation) to one monotone
-scalar equation in w, the Dido inversion of minkowski_iso._solve_bending.
+scalar equation in w, the Dido inversion of minkowski_iso._solve_bending, a
+bracketed Newton solve.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ from heislor.heisenberg_core import (
     lift,
     require_finite,
 )
-from heislor.minkowski_iso import _hyperbola_length, _sinh_minus_x, _solve_bending
+from heislor.minkowski_iso import _hyperbola_length, _odd_tail, _solve_bending, _xcosh_minus_sinh
 
-# switch to series below this |w t| where the closed forms lose digits
-SERIES_WT = 1e-4
+# below this |w t| the series replaces the closed forms, which divide by w
+SERIES_WT = 1e-8
 
 
 class GeoParam(NamedTuple):
@@ -70,24 +71,8 @@ def exp_point(param, t: float) -> Event:
     c1 = 2.0 * math.sinh(0.5 * wt) ** 2  # cosh(wt) - 1
     x = (v * c1 + u * sh) / w
     y = (v * sh + u * c1) / w
-    z = 0.5 * (u * u - v * v) * _sinh_minus_x(wt) / (w * w)
+    z = 0.5 * (u * u - v * v) * _odd_tail(wt) / (w * w)
     return Event(x, y, z)
-
-
-def _xcosh_minus_sinh(x: float) -> float:
-    # x cosh(x) - sinh(x) = sum x^(2k+1) * 2k/(2k+1)!, cancellation-safe.
-    if abs(x) >= 1.0:
-        return x * math.cosh(x) - math.sinh(x)
-    term = x * x * x / 3.0
-    total = term
-    x2 = x * x
-    k = 1
-    while True:
-        k += 1
-        term *= x2 * (2 * k) / ((2 * k) * (2 * k + 1) * (2 * k - 2))
-        total += term
-        if abs(term) <= 1e-18 * abs(total):
-            return total
 
 
 def exp_jacobian_det(param, t: float) -> float:
@@ -115,11 +100,9 @@ def log(q) -> GeoParam:
     boost, T = minkowski_iso.boost_to_axis(a, b)
     zt = c / (T * T)
     w = _solve_bending(zt)
-    if w == 0.0:
-        ua, va = T, 0.0
-    else:
-        ua = T * 0.5 * w / math.tanh(0.5 * w)
-        va = -T * 0.5 * w
+    # as in _hyperbola_length, (w/2)/tanh(w/2) rounds to 1 below |w| = 1e-8
+    ua = T if abs(w) < 1e-8 else T * 0.5 * w / math.tanh(0.5 * w)
+    va = -T * 0.5 * w
     u, v = boost.inverse().apply((ua, va))
     return GeoParam(float(u), float(v), w)
 

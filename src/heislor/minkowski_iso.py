@@ -11,6 +11,13 @@ on the time axis, T = sqrt(a^2 - b^2), and mapped back with the inverse boost.
 The hyperbola is found from its bending w, one monotone scalar equation in
 c/T^2 (_solve_bending); its lift is the geodesic with that bending, so the
 same solve gives geodesics.log and geodesics.tau.
+
+The Dido kernel below serves both signatures.  The area over the squared
+chord enclosed by the arc of bending x is R(x) = tail(x) / (8 s(x/2)^2),
+with tail = sinh x - x and s = sinh for these hyperbolae, and tail = x - sin x
+and s = sin (circ=True) for the circles of the sub-Riemannian Dido problem
+behind sr_metric: R(i phi) = i R_circ(phi).  Both are inverted by one
+bracketed Newton step, on floats here and on arrays in sr_metric.
 """
 
 from __future__ import annotations
@@ -110,20 +117,13 @@ def hyperbola_ordinate(y_c: float, T: float, x):
     return out if out.ndim else float(out)
 
 
-def _x_minus_asinh(x: float) -> float:
-    # x - asinh(x), safe against cancellation near 0.
-    if abs(x) < 1e-4:
-        x2 = x * x
-        return x * x2 * (1.0 / 6.0 - 3.0 * x2 / 40.0 + 15.0 * x2 * x2 / 336.0)
-    return x - math.asinh(x)
-
-
 def hyperbola_area(y_c: float, T: float) -> float:
     """Area under the arc, A(y_c) = int_0^T f(x) dx, in closed form.
 
     With k = sqrt(y_c^2 - T^2/4) the antiderivative of sqrt(s^2 + k^2) gives
     A = sgn(y_c) [T^3 / (8 (|y_c| + k)) + k^2 (x - asinh x)],  x = T/(2k),
-    which degenerates continuously to sgn(y_c) T^2/4 as k -> 0.
+    which degenerates continuously to sgn(y_c) T^2/4 as k -> 0; x - asinh x
+    is the odd tail sinh a - a at a = asinh x, formed without cancellation.
     """
     if abs(y_c) < T / 2 - NULL_TOL:
         raise ValueError("vertex ordinate must satisfy |y_c| >= T/2")
@@ -132,62 +132,119 @@ def hyperbola_area(y_c: float, T: float) -> float:
     first = T * T * T / (8.0 * (abs(y_c) + k))
     if k == 0.0:
         return s * first
-    return s * (first + k * k * _x_minus_asinh(T / (2.0 * k)))
+    return s * (first + k * k * _odd_tail(math.asinh(T / (2.0 * k))))
 
 
-def _sinh_minus_x(x: float) -> float:
-    # sinh(x) - x without cancellation: series sum x^(2k+1)/(2k+1)! for k>=1.
-    if abs(x) >= 1.0:
-        return math.sinh(x) - x
-    term = x * x * x / 6.0
-    total = term
-    x2 = x * x
-    k = 1
-    while True:
-        k += 1
-        term *= x2 / ((2 * k) * (2 * k + 1))
-        total += term
-        if abs(term) <= 1e-18 * abs(total):
-            return total
+# denominators d_k of the odd series sum_{k>=1} sgn^(k-1) x^(2k+1) / d_k
+# (sgn = -1 when circ) of tail(x), and of x cosh x - sinh x: for |x| < 2
+# eleven terms reach 2e-17 relative, where the direct forms lose up to 5 eps.
+_TAIL = tuple(math.factorial(2 * k + 1) for k in range(1, 12))
+_XCOSH_SINH = tuple(math.factorial(2 * k + 1) // (2 * k) for k in range(1, 12))
 
 
-def _vertical_ratio(w: float) -> float:
-    # z/x^2 along the axis-normalized geodesic: (sinh w - w) / (8 sinh^2(w/2)),
-    # odd and strictly increasing with range (-1/4, 1/4).
-    if w == 0.0:
-        return 0.0
-    return _sinh_minus_x(w) / (8.0 * math.sinh(0.5 * w) ** 2)
+def _xp(x):
+    # numpy for arrays, math for floats (the functions used have one name)
+    return np if isinstance(x, np.ndarray) else math
+
+
+def _where(c, a, b):
+    return np.where(c, a, b) if isinstance(c, np.ndarray) else (a if c else b)
+
+
+def _odd_series(d, x, circ, direct):
+    # direct, replaced where |x| < 2 by the series: x^3 / d_1 plus Horner in x^2
+    def horner(x):
+        u = -x * x if circ else x * x
+        acc = 1.0 / d[-1]
+        for dk in d[-2:0:-1]:
+            acc = acc * u + 1.0 / dk
+        x3 = x * x * x
+        return x3 / d[0] + x3 * u * acc
+
+    if isinstance(x, np.ndarray):
+        small = np.abs(x) < 2.0
+        direct[small] = horner(x[small])
+        return direct
+    return horner(x) if abs(x) < 2.0 else direct
+
+
+def _odd_tail(x, circ=False):
+    """sinh x - x, or x - sin x when circ, free of cancellation."""
+    xp = _xp(x)
+    return _odd_series(_TAIL, x, circ, x - xp.sin(x) if circ else xp.sinh(x) - x)
+
+
+def _xcosh_minus_sinh(x: float) -> float:
+    """x cosh x - sinh x, free of cancellation."""
+    return _odd_series(_XCOSH_SINH, x, False, x * math.cosh(x) - math.sinh(x))
+
+
+def _dido_ratio(x, circ=False):
+    """R(x), odd and increasing onto (-1/4, 1/4), or [0, oo) over [0, 2 pi)
+    when circ, and d log R / dx = 1/(4 R) - coth(x/2), or - cot(x/2); x > 0."""
+    xp = _xp(x)
+    h = 0.5 * x
+    s, t = (xp.sin(h), xp.tan(h)) if circ else (xp.sinh(h), xp.tanh(h))
+    tail = _odd_tail(x, circ)
+    den = 8.0 * s ** 2
+    return tail / den, 0.25 * den / tail - 1.0 / t
+
+
+def _newton_step(x, m, lo, hi, circ=False):
+    """(new x, lo, hi, done): a Newton step on log R(x) = log m, x in [lo, hi].
+
+    x becomes a bracket end.  A step out of the bracket, or on a slope that
+    rounded to 0 or below (R near 1/4), goes to the midpoint.  done: the step
+    changed nothing or landed on a bracket end.  Floats or arrays."""
+    f, slope = _dido_ratio(x, circ)
+    g = _xp(x).log(f / m)  # < 0 exactly when f < m
+    below = g < 0.0
+    lo, hi = _where(below, x, lo), _where(below, hi, x)
+    new = x - g / _where(slope > 0.0, slope, 1e-300)
+    new = _where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+    return new, lo, hi, (new == x) | (new == lo) | (new == hi)
 
 
 def _solve_bending(zt: float) -> float:
-    """Bending w with _vertical_ratio(w) = zt, for |zt| < 1/4.
+    """Bending w with R(w) = zt, for |zt| < 1/4.
 
     zt = c/T^2 is the Dido area in units of the squared chord; the hyperbola
     with vertex ordinate sgn(c) (T/2) coth(|w|/2) encloses it, and its lift
     is the geodesic with bending w.  Below |zt| = 1e-9 the series root 12 zt
-    is exact in float64; above, bisection on a geometrically grown bracket
-    runs until the midpoint equals a bracket end.
+    is exact in float64.  Above, Newton steps on [0, 64] start from
+    12 m / sqrt(1 - 4 m) (m = |zt| < 0.15), or from L + log(L - 1), L =
+    -log(2 (1/4 - m)), as 1/4 - R(w) ~ (w - 1) e^-w / 2.  Probes 1, 2, 4, ...
+    ulps from the iterate, then halving, tighten the bracket to adjacent
+    floats with R(lo) < m <= R(hi), as a bisection on R would end.
     """
     if zt == 0.0:
         return 0.0
     if abs(zt) < 1e-9:
         return 12.0 * zt
-    s = 1.0 if zt > 0 else -1.0
-    target = abs(zt)
-    if target >= 0.25:
+    m = abs(zt)
+    if m >= 0.25:
         raise NotChronologicalError("vertical ratio outside (-1/4, 1/4)")
-    hi = 2.0
-    while _vertical_ratio(hi) < target:
-        hi *= 2.0
-    lo = 0.0
-    mid = 0.5 * hi
-    while lo < mid < hi:
-        if _vertical_ratio(mid) < target:
-            lo = mid
+    if m < 0.15:
+        w = 12.0 * m / math.sqrt(1.0 - 4.0 * m)
+    else:
+        L = -math.log(2.0 * (0.25 - m))
+        w = L + math.log(L - 1.0)
+    lo, hi = 0.0, 64.0
+    for _ in range(100):
+        w, lo, hi, done = _newton_step(w, m, lo, hi)
+        if done:
+            break
+    step = math.ulp(w)
+    while True:
+        if _dido_ratio(w)[0] < m:
+            lo, w = w, w + step
         else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return s * mid
+            hi, w = w, w - step
+        step *= 2.0
+        if not lo < w < hi:
+            w = 0.5 * (lo + hi)
+            if not lo < w < hi:
+                return math.copysign(w, zt)
 
 
 def _hyperbola_length(T: float, w: float) -> float:

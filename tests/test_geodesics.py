@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,17 +57,21 @@ def test_exp_point_closed_form_value():
 
 
 def test_exp_point_series_matches_closed_form():
-    u, v = 1.2, -0.4
-    for w in (9e-5, 1.1e-4):  # straddle the series switch
-        a = exp_point(GeoParam(u, v, w), 1.0)
-        sh = math.sinh(w)
-        c1 = 0.5 * (math.expm1(w) + math.expm1(-w))  # cosh(w) - 1, stable
-        x = (v * c1 + u * sh) / w
-        y = (v * sh + u * c1) / w
-        assert abs(a.x - x) < 5e-14 and abs(a.y - y) < 5e-14
-        # z via exact series to avoid the reference itself cancelling
-        z = (u * u - v * v) * w / 12.0 * (1.0 + w * w / 20.0)
-        assert abs(a.z - z) < 1e-18
+    # on both sides of the series switch SERIES_WT = 1e-8, and of 1e-4 where
+    # the series dropped the (wt)^3 / 24 term, to 4 eps of 40-digit values
+    cases = [(1.2, -0.4, w) for w in (9e-5, 1.1e-4, 9.9e-9, 1.01e-8)]
+    cases += [(1.0, 0.0, w) for w in (9.9e-5, 9.9e-9, 1.01e-8)]
+    eps = np.finfo(float).eps
+    with mp.workdps(40):
+        for u, v, w in cases:
+            U, V, W = mp.mpf(u), mp.mpf(v), mp.mpf(w)
+            exact = (
+                (V * (mp.cosh(W) - 1) + U * mp.sinh(W)) / W,
+                (V * mp.sinh(W) + U * (mp.cosh(W) - 1)) / W,
+                (U * U - V * V) * (mp.sinh(W) - W) / (2 * W * W),
+            )
+            for got, want in zip(exp_point(GeoParam(u, v, w), 1.0), exact):
+                assert abs(got - want) <= 4 * eps * abs(want), (u, v, w)
 
 
 def test_exp_image_is_chronological():
@@ -218,15 +223,22 @@ def test_exp_point_past_branch():
     assert in_chronological_future(p, ORIGIN)
 
 
-@pytest.mark.parametrize("z", [1e-30, 1e-70, 1e-200])
-def test_log_round_trip_tiny_bending(z):
-    # below |z/x^2| = 1e-9 log takes the series root w = 12 z / x^2
-    q = Event(1.0, 0.0, z)
+@pytest.mark.parametrize(
+    "x, z",
+    [(1.0, 1e-30), (1.0, 1e-70), (1.0, 1e-200), (0.3, 1e-313)],
+    ids=["1e-30", "1e-70", "1e-200", "x0.3-1e-313"],
+)
+def test_log_round_trip_tiny_bending(x, z):
+    # below |z/x^2| = 1e-9 log takes the series root w = 12 z / x^2, and
+    # u = x exactly, also where T w / 2 is subnormal
+    q = Event(x, 0.0, z)
     param = log(q)
-    assert param.w == 12.0 * z
+    assert param.w == 12.0 * (z / (x * x))
+    assert param.u == x
     back = exp_point(param, 1.0)
-    assert back.x == 1.0 and abs(back.y) <= 1e-15
-    assert abs(back.z - z) <= 4e-16 * z
+    assert back.x == x and abs(back.y) <= 1e-15
+    if z > 1e-300:
+        assert abs(back.z - z) <= 4e-16 * z
 
 
 def test_midpoint_map_axis():

@@ -9,16 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heislor.heisenberg_core import ORIGIN, Event, dilate, group_mul, in_causal_future
+from heislor.minkowski_iso import _dido_ratio, _odd_tail
 from heislor.sr_metric import (
     BoxSpec,
-    _arc_ratio,
     _boundary_sheet_distance,
     _diamond_membership,
     _distance_fast,
     _distance_from_origin,
     _inner_radius_minimizer,
     _solve_arc_angle,
-    _x_minus_sin,
     ball_in_diamond,
     box_contains,
     diamond_in_box_check,
@@ -125,15 +124,15 @@ def test_solve_arc_angle_round_trip():
     phi = _solve_arc_angle(m)
     assert np.all((phi >= 0.0) & (phi < 2.0 * math.pi))
     assert np.all(np.diff(phi) >= 0.0)
-    assert phi[0] == 0.0 and _arc_ratio(phi[:1])[0] == 0.0
+    assert phi[0] == 0.0
     phi, m = phi[1:], m[1:]
-    f = _arc_ratio(phi)
+    f = _dido_ratio(phi, circ=True)[0]
     eps = np.finfo(float).eps
     # m comes back to a few ulps, times what one ulp of phi moves the ratio
     # by (large as phi -> 2 pi), plus the rounding of phi - sin(phi), which
-    # _x_minus_sin forms directly for phi >= 1e-2
+    # _odd_tail forms directly for phi >= 2
     cond = phi * np.abs(0.25 / f - 1.0 / np.tan(0.5 * phi))
-    cancel = np.where(phi >= 1e-2, np.spacing(phi) / _x_minus_sin(phi), 0.0)
+    cancel = np.where(phi >= 2.0, np.spacing(phi) / _odd_tail(phi, circ=True), 0.0)
     assert np.all(np.abs(f / m - 1.0) <= 16.0 * (eps * (1.0 + cond) + cancel))
 
 
