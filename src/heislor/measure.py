@@ -20,14 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from heislor import sr_metric
-from heislor.heisenberg_core import (
-    NULL_TOL,
-    ORIGIN,
-    group_inv,
-    group_mul,
-    in_causal_future,
-    in_chronological_future,
-)
+from heislor.heisenberg_core import ORIGIN, group_inv, group_mul, in_chronological_future
 
 # volume of the axis diamond of unit time separation; empirical maximum of
 # the growth-ratio scan
@@ -75,30 +68,28 @@ def diamond_volume_closed(p, q) -> float:
 
 
 def diamond_volume_mc(p, q, n: int, seed: int) -> VolumeEstimate:
-    """Monte Carlo volume of J(p, q) by rejection in its bounding box.
-
-    Deterministic for fixed (seed, n): samples are drawn in fixed-size
-    counter-based substreams keyed by (seed, chunk) and the acceptance
-    counts summed in integers.
+    """Monte Carlo volume of J(p, q): B k / n and its binomial stderr, for k
+    hits of n draws of sr_metric.fibre_hits, B = T^4/16 - c^2, in the frame
+    where the vertex is (T, 0, c).  Deterministic for fixed (seed, n): chunk
+    i comes from the substream (seed, i), and the hits are summed in integers.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    r = group_mul(group_inv(p), q)
-    if not in_causal_future(ORIGIN, r) or r.x <= NULL_TOL:
+    a, b, c = group_mul(group_inv(p), q)
+    T2 = (a - b) * (a + b)
+    # null and degenerate diamonds, T = 0 or |c| = T^2/4, have no volume
+    if not (a > abs(b) and 4.0 * abs(c) < T2):
         return VolumeEstimate(0.0, 0.0, n, seed)
-    a, b, c = r
-    box_volume = a * (2.0 * a) * (a * a / 2.0)
-    chunk = 1 << 19
-
-    def count(i: int) -> int:
-        m = min(chunk, n - i * chunk)
-        pts = sr_metric.uniform_box([seed, i], (0.0, -a, -a * a / 4.0), (a, a, a * a / 4.0), m)
-        return int(np.count_nonzero(sr_metric._diamond_membership(pts, a, b, c)))
-
-    accepted = sum(count(i) for i in range((n + chunk - 1) // chunk))
-    phat = accepted / n
+    T = math.sqrt(T2)
+    box_volume = (0.25 * T2 - c) * (0.25 * T2 + c)
+    chunk = sr_metric.FIBRE_CHUNK
+    hits = sum(
+        len(sr_metric.fibre_hits(T, c, [seed, i], min(chunk, n - i * chunk)))
+        for i in range((n + chunk - 1) // chunk)
+    )
+    phat = hits / n
     value = box_volume * phat
-    stderr = box_volume * math.sqrt(max(phat * (1.0 - phat), 0.0) / n)
+    stderr = box_volume * math.sqrt(phat * (1.0 - phat) / n)
     return VolumeEstimate(value, stderr, n, seed)
 
 

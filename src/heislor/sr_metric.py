@@ -171,42 +171,79 @@ def uniform_box(key, lo, hi, n: int) -> np.ndarray:
     return np.column_stack([rng.uniform(a, b, n) for a, b in zip(lo, hi)])
 
 
+# Over the planar diamond |y| <= min(x, T - x), the axis diamond
+# J(0, (T, 0, c)) is one z-interval: |z| <= f = (x^2 - y^2)/4 (the future cone
+# of 0) and |z - m| <= g = ((T - x)^2 - y^2)/4 with m = c + T y/2 (the past
+# cone of the vertex, through the group displacement).  It starts at
+# lo = max(-f, m - g) and has length L = min(2f, 2g, f + g - |m|).
+#
+# L <= Lmax = T^2/8 - 2 c^2/T^2, with equality at (T/2, -2c/T).  Scale to
+# T = 1 (x, y scale with T; z, c with T^2), so |c| < 1/4, and put
+# s = 1/2 - x, so g - f = s/2.  The four pieces 2f, 2g, f + g - m and
+# f + g + m all have Hessian diag(1, -1), so none has a local maximum, and
+# on the edges of the planar diamond f = 0 or g = 0, so L <= 0.  Hence L is
+# largest where two pieces tie, on one of four lines:
+# - 2m = s or 2m = -s.  Then the pieces are 2f and 2g, y = +-s - 2c, and
+#   L = 2 min(f, g) is Lmax less |s| (1/2 - 2c) or |s| (1/2 + 2c).
+# - m = 0, y = -2c.  L = 2 min(f, g), where f grows with x and g falls, so
+#   L <= 2 f(1/2, -2c) = Lmax.
+# - s = 0.  f = g and y = 2 (m - c), so L = 2f - |m| =
+#   Lmax - 2 m^2 - (|m| - 4 c m) <= Lmax, with equality only at m = 0.
+
+
+def diamond_fibre(T: float, c: float, x, y):
+    """(lo, L): the z-fibre [lo, lo + L] of J(0, (T, 0, c)) over the planar
+    points (x, y) of |y| <= min(x, T - x); L < 0 where the fibre is empty."""
+    f = 0.25 * (x - y) * (x + y)
+    g = 0.25 * (T - x - y) * (T - x + y)
+    m = c + 0.5 * T * y
+    lo = np.maximum(-f, m - g)
+    return lo, np.minimum(np.minimum(2.0 * f, 2.0 * g), f + g - np.abs(m))
+
+
+def fibre_max(T: float, c: float) -> float:
+    """The largest fibre length of J(0, (T, 0, c)), T^2/8 - 2 c^2/T^2."""
+    return 2.0 * (0.25 * T * T - c) * (0.25 * T * T + c) / (T * T)
+
+
+# draws per (seed, chunk) substream of fibre_hits' callers
+FIBRE_CHUNK = 1 << 14
+
+
+def fibre_hits(T: float, c: float, key, n: int) -> np.ndarray:
+    """The points of J(0, (T, 0, c)) among n hit-or-miss draws under its fibres.
+
+    (alpha, beta, u) is uniform in [0, T/2]^2 x [0, fibre_max] from the
+    substream default_rng(key); (x, y) = (alpha + beta, alpha - beta) fills
+    the planar diamond, of area T^2/2, and a draw hits, as (x, y, lo + u),
+    when u <= L.  So each draw stands for the volume (T^4/16 - c^2) / n.
+    """
+    a, b, u = uniform_box(key, (0.0, 0.0, 0.0), (0.5 * T, 0.5 * T, fibre_max(T, c)), n).T
+    x, y = a + b, a - b
+    lo, length = diamond_fibre(T, c, x, y)
+    hit = u <= length
+    return np.column_stack([x[hit], y[hit], lo[hit] + u[hit]])
+
+
 def sample_diamond(q, n: int, seed) -> np.ndarray:
-    """n uniform points of the diamond J(0, q), by rejection in its box.
+    """n uniform points of the diamond J(0, q), hit-or-miss under its fibres.
 
     Boosts with z fixed are volume-preserving group automorphisms that
-    preserve causality, so for a tilted vertex the sampling runs in the
-    boosted frame where the diamond is fattest and maps back.
+    preserve causality, so the sampling runs in the frame where q is
+    (T, 0, c) and maps back.  Chunk i of FIBRE_CHUNK draws comes from the
+    substream (seed, i), so the first k of n points are the k-point sample.
     """
     a, b, c = q
-    if b != 0.0 and a > abs(b):
-        boost, T = boost_to_axis(a, b)
-        pts = sample_diamond(Event(T, 0.0, c), n, seed)
-        back = pts[:, :2] @ boost.inverse().mat.T
-        return np.column_stack([back, pts[:, 2]])
-    out = []
-    got = 0
-    drawn = 0
-    chunk = max(4 * n, 65536)
-    for i in range(10000):
-        chunk = min(chunk, 4 << 20)
-        pts = uniform_box([seed, i], (0.0, -a, -a * a / 4.0), (a, a, a * a / 4.0), chunk)
-        keep = pts[_diamond_membership(pts, a, b, c)]
-        out.append(keep)
-        got += len(keep)
-        drawn += chunk
-        if got >= n:
-            break
-        # grow the chunk toward the apparent acceptance rate
-        if got:
-            chunk = int(1.5 * (n - got) * drawn / got) + 1024
-        else:
-            chunk *= 4
-        if drawn > 5e9:
-            raise RuntimeError("acceptance rate too low for rejection sampling")
-    if got < n:
-        raise RuntimeError("rejection sampling failed to fill the request")
-    return np.concatenate(out)[:n]
+    boost, T = boost_to_axis(a, b)
+    if not 4.0 * abs(c) < T * T:
+        raise ValueError("the diamond J(0, q) has no interior to sample")
+    out = [np.empty((0, 3))]
+    while sum(map(len, out)) < n:
+        out.append(fibre_hits(T, c, [seed, len(out) - 1], FIBRE_CHUNK))
+    x, y, z = np.concatenate(out)[:n].T
+    # elementwise, not a matmul, whose rounding may depend on n
+    (m00, m01), (m10, m11) = boost.inverse().mat
+    return np.column_stack([m00 * x + m01 * y, m10 * x + m11 * y, z])
 
 
 def diamond_in_box_check(p, q, n: int, seed) -> dict:

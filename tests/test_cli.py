@@ -112,6 +112,8 @@ def test_diamond_box_json(capsys):
     assert payload["samples"] == 20000
     assert abs(payload["rho"] * payload["D"] - 1.0) < 1e-12
     assert payload["C_estimate"] == 2.0 * math.sqrt(math.pi)
+    # a null vertex bounds no interior to sample
+    assert invoke(capsys, ["diamond-box", "0", "0", "0", "1", "0", "0.25"])[0] == 1
 
 
 def test_ball_box_constant_bounds_box_faces():
@@ -175,7 +177,8 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 # Exact stdout of the fast README examples.  The iso-solve files hold the
 # vertex y_c = sgn(c) (T/2) coth(|w|/2) of the bending solve; for c = 1e-9 it
 # is T^3 / (12 c) to float precision.  The hausdorff and diamond-box files pin
-# the inner radius rho, the unit-ball volume behind `lower` and C_estimate.
+# the inner radius rho, the unit-ball volume behind `lower` and C_estimate;
+# diamond-volume-mc pins the Monte Carlo draw stream.
 @pytest.mark.parametrize(
     "name, argv",
     [
@@ -191,6 +194,10 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
         ("iso-solve-small-area.json", ["iso-solve", "2", "0", "1e-9"]),
         ("hausdorff.csv", ["hausdorff", "--radius", "1", "--delta", "0.4", "--samples", "5000"]),
         ("diamond-box.json", ["diamond-box", "0", "0", "0", "2", "0", "0", "--samples", "2000"]),
+        (
+            "diamond-volume-mc.json",
+            ["diamond-volume", "0", "0", "0", "1", "0", "0", "--mc", "100000", "--seed", "1"],
+        ),
     ],
 )
 def test_golden_stdout(capsys, name, argv):

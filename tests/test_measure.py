@@ -104,10 +104,31 @@ def test_mc_deterministic():
 
 
 def test_mc_degenerate_cases():
-    est = diamond_volume_mc(ORIGIN, Event(-1.0, 0.0, 0.0), 100, seed=0)
-    assert est.value == 0.0
+    # past vertex, T = 0 (p = q, or a null vertex) and |c| / T^2 = 1/4: no
+    # volume, and no division by T^2
+    p = Event(0.3, -0.2, 0.1)
+    null = ((0.0, 0.0, 0.0), (1.0, 1.0, 0.0), (1.0, -1.0, 0.0), (2.0, 0.0, 1.0), (2.0, 0.0, -1.0))
+    for rel in ((-1.0, 0.0, 0.0), *null):
+        with np.errstate(all="raise"):
+            est = diamond_volume_mc(p, group_mul(p, Event(*rel)), 100, seed=0)
+        assert est == (0.0, 0.0, 100, 0)
     with pytest.raises(ValueError):
         diamond_volume_mc(ORIGIN, Event(1.0, 0.0, 0.0), 0, seed=0)
+
+
+@pytest.mark.parametrize("q", [Event(1.0, 0.0, 0.0), Event(2.1, 0.6, 0.4), Event(1.5, -0.4, -0.45)])
+def test_mc_is_hit_or_miss(q):
+    # B k / n for a whole number k of hits, B = T^4/16 - c^2 the volume the
+    # draws fill, no less than the diamond's, and the binomial stderr
+    n = 100003
+    est = diamond_volume_mc(ORIGIN, q, n, seed=2)
+    T2 = (q.x - q.y) * (q.x + q.y)
+    B = T2 * T2 / 16.0 - q.z * q.z
+    k = est.value * n / B
+    assert abs(k - round(k)) <= 1e-9 * k and 0 < round(k) < n
+    assert B >= diamond_volume_closed(ORIGIN, q)
+    phat = round(k) / n
+    assert math.isclose(est.stderr, B * math.sqrt(phat * (1.0 - phat) / n), rel_tol=1e-12)
 
 
 def test_unit_separation_volume_frozen_values():

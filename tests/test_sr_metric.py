@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heislor.heisenberg_core import ORIGIN, Event, dilate, group_mul, in_causal_future
-from heislor.minkowski_iso import _dido_ratio, _odd_tail
+from heislor.minkowski_iso import _dido_ratio, _odd_tail, boost_to_axis
 from heislor.sr_metric import (
     BoxSpec,
     _boundary_sheet_distance,
@@ -20,7 +20,9 @@ from heislor.sr_metric import (
     _solve_arc_angle,
     ball_in_diamond,
     box_contains,
+    diamond_fibre,
     diamond_in_box_check,
+    fibre_max,
     sample_diamond,
     sr_distance,
     unit_diamond_inner_radius,
@@ -167,6 +169,74 @@ def test_sample_diamond_thin_diamond_still_fills():
     q = exp_point(GeoParam(0.3, 0.27, 3.0), 1.0)
     pts = sample_diamond(q, 2000, seed=0)
     assert pts.shape == (2000, 3)
+
+
+def test_fibre_max_bounds_every_fibre():
+    # on a 401 x 401 grid of the planar diamond, for c/T^2 across (-1/4, 1/4)
+    # up to 1e-9 from the null ends, no fibre is longer than fibre_max, which
+    # the fibre over (T/2, -2c/T) attains
+    T = 1.7
+    g = np.linspace(0.0, 0.5 * T, 401)
+    a, b = (v.ravel() for v in np.meshgrid(g, g))
+    for zt in np.concatenate([np.linspace(-0.249, 0.249, 41), [-0.25 + 1e-9, 0.25 - 1e-9]]):
+        c = zt * T * T
+        top = fibre_max(T, c)
+        assert abs(top - (T * T / 8.0 - 2.0 * c * c / (T * T))) <= 1e-15 * T * T
+        length = diamond_fibre(T, c, a + b, a - b)[1]
+        assert np.max(length) <= top + 1e-15 * T * T
+        at = diamond_fibre(T, c, 0.5 * T, -2.0 * c / T)[1]
+        assert abs(at - top) <= 1e-15 * T * T
+
+
+@pytest.mark.parametrize("q", [Event(1.3, 0.0, 0.2), Event(2.0, 0.7, -0.3)])
+def test_fibre_membership_matches_cone_predicate(q):
+    # planar test plus lo <= z <= lo + L in the axis frame, against the two
+    # cone inequalities in the frame of q; points within 1e-12 of the
+    # fibre's or the planar diamond's edge are left out
+    a, b, c = q
+    boost, T = boost_to_axis(a, b)
+    rng = np.random.default_rng(21)
+    n = 200000
+    x = rng.uniform(-0.05 * T, 1.05 * T, n)
+    y = rng.uniform(-0.55 * T, 0.55 * T, n)
+    z = 0.5 * c + rng.uniform(-0.1 * T * T, 0.1 * T * T, n)
+    lo, length = diamond_fibre(T, c, x, y)
+    margin = np.minimum.reduce([x - np.abs(y), T - x - np.abs(y), z - lo, lo + length - z])
+    clear = np.abs(margin) > 1e-12
+    pts = np.column_stack([(np.column_stack([x, y]) @ boost.inverse().mat.T), z])
+    member = _diamond_membership(pts, a, b, c)
+    assert np.array_equal((margin > 0.0)[clear], member[clear])
+    assert 0.02 < np.mean(member) < 0.98 and np.mean(clear) > 0.999
+
+
+def test_sample_diamond_prefix_stable():
+    # fixed-size (seed, chunk) substreams: more points extend the sample
+    q = Event(2.0, 0.5, 0.7)
+    pts = sample_diamond(q, 40000, seed=6)
+    for k in (1, 777, 25000):
+        assert np.array_equal(pts[:k], sample_diamond(q, k, seed=6))
+
+
+@pytest.mark.parametrize("param", [(1.0, 0.0, 0.0), (1.2, 0.4, 2.5), (0.8, -0.5, -3.9)])
+def test_sample_diamond_uniform(param):
+    # the share of points in the sub-diamond J(0, m), m the geodesic
+    # midpoint, is its share of the volume within 4 binomial sigmas
+    from heislor.geodesics import GeoParam, exp_point
+    from heislor.measure import diamond_volume_closed
+
+    q = exp_point(GeoParam(*param), 1.0)
+    m = exp_point(GeoParam(*param), 0.5)
+    share = diamond_volume_closed(ORIGIN, m) / diamond_volume_closed(ORIGIN, q)
+    n = 40000
+    pts = sample_diamond(q, n, seed=8)
+    k = np.count_nonzero(_diamond_membership(pts, *m))
+    assert abs(k - n * share) <= 4.0 * math.sqrt(n * share * (1.0 - share))
+
+
+def test_sample_diamond_rejects_null_diamond():
+    for q in (Event(1.0, 0.0, 0.25), Event(1.0, 1.0, 0.0), Event(0.0, 0.0, 0.0)):
+        with pytest.raises(ValueError):
+            sample_diamond(q, 10, seed=0)
 
 
 def test_diamond_in_box_check_reports():
