@@ -94,9 +94,11 @@ def exp_jacobian_det(param, t: float) -> float:
 def log(q) -> GeoParam:
     """Inverse of exp_point(., 1) on the chronological future of the origin."""
     require_finite(q)
-    if not in_chronological_future(ORIGIN, q):
-        raise NotChronologicalError("point not in the chronological future")
     a, b, c = q
+    if not in_chronological_future(ORIGIN, q):
+        t2 = (a - b) * (a + b)
+        zt = c / t2 if a > abs(b) else None
+        raise NotChronologicalError("point not in the chronological future", 4.0 * abs(c) - t2, zt)
     boost, T = minkowski_iso.boost_to_axis(a, b)
     zt = c / (T * T)
     w = _solve_bending(zt)

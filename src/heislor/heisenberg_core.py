@@ -27,7 +27,18 @@ class NotCausalError(ValueError):
 
 
 class NotChronologicalError(ValueError):
-    """Operation requires a chronologically related pair."""
+    """Operation requires a chronologically related pair.
+
+    defect: -a^2 + b^2 + 4|c| of the displacement (a, b, c) that failed, which
+    is >= -NULL_TOL off the open future cone; zt: its c/T^2, T^2 = a^2 - b^2,
+    when a > |b|, which is outside (-1/4, 1/4) beyond the cone's sheets.  The
+    message carries both when given.
+    """
+
+    def __init__(self, msg: str, defect=None, zt=None):
+        msg += "" if defect is None else f": defect -a^2 + b^2 + 4|c| = {defect!r}"
+        super().__init__(msg + ("" if zt is None else f", c/T^2 = {zt!r}"))
+        self.defect, self.zt = defect, zt
 
 
 class Event(NamedTuple):

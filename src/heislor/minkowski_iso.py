@@ -17,7 +17,8 @@ chord enclosed by the arc of bending x is R(x) = tail(x) / (8 s(x/2)^2),
 with tail = sinh x - x and s = sinh for these hyperbolae, and tail = x - sin x
 and s = sin (circ=True) for the circles of the sub-Riemannian Dido problem
 behind sr_metric: R(i phi) = i R_circ(phi).  Both are inverted by one
-bracketed Newton step, on floats here and on arrays in sr_metric.
+bracketed Newton step, on floats by _newton_float (the bending here, the arc
+angle of sr_metric.sr_distance) and on arrays in sr_metric.
 """
 
 from __future__ import annotations
@@ -151,21 +152,23 @@ def _where(c, a, b):
     return np.where(c, a, b) if isinstance(c, np.ndarray) else (a if c else b)
 
 
-def _odd_series(d, x, circ, direct):
-    # direct, replaced where |x| < 2 by the series: x^3 / d_1 plus Horner in x^2
-    def horner(x):
-        u = -x * x if circ else x * x
-        acc = 1.0 / d[-1]
-        for dk in d[-2:0:-1]:
-            acc = acc * u + 1.0 / dk
-        x3 = x * x * x
-        return x3 / d[0] + x3 * u * acc
+def _horner(d, x, circ):
+    # the odd series of d: x^3 / d_1 plus Horner in x^2
+    u = -x * x if circ else x * x
+    acc = 1.0 / d[-1]
+    for dk in d[-2:0:-1]:
+        acc = acc * u + 1.0 / dk
+    x3 = x * x * x
+    return x3 / d[0] + x3 * u * acc
 
+
+def _odd_series(d, x, circ, direct):
+    # direct, replaced where |x| < 2 by the series
     if isinstance(x, np.ndarray):
         small = np.abs(x) < 2.0
-        direct[small] = horner(x[small])
+        direct[small] = _horner(d, x[small], circ)
         return direct
-    return horner(x) if abs(x) < 2.0 else direct
+    return _horner(d, x, circ) if abs(x) < 2.0 else direct
 
 
 def _odd_tail(x, circ=False):
@@ -205,6 +208,15 @@ def _newton_step(x, m, lo, hi, circ=False):
     return new, lo, hi, (new == x) | (new == lo) | (new == hi)
 
 
+def _newton_float(x: float, m: float, lo: float, hi: float, circ=False):
+    """(x, lo, hi, done): _newton_step on floats until done, at most 100 steps."""
+    for _ in range(100):
+        x, lo, hi, done = _newton_step(x, m, lo, hi, circ)
+        if done:
+            break
+    return x, lo, hi, done
+
+
 def _solve_bending(zt: float) -> float:
     """Bending w with R(w) = zt, for |zt| < 1/4.
 
@@ -229,22 +241,17 @@ def _solve_bending(zt: float) -> float:
     else:
         L = -math.log(2.0 * (0.25 - m))
         w = L + math.log(L - 1.0)
-    lo, hi = 0.0, 64.0
-    for _ in range(100):
-        w, lo, hi, done = _newton_step(w, m, lo, hi)
-        if done:
-            break
-    step = math.ulp(w)
+    w, lo, hi, done = _newton_float(w, m, 0.0, 64.0)
+    # a done step leaves w on a bracket end, where R(w) < m exactly when w == lo
+    below, step = (w == lo if done else _dido_ratio(w)[0] < m), math.ulp(w)
     while True:
-        if _dido_ratio(w)[0] < m:
-            lo, w = w, w + step
-        else:
-            hi, w = w, w - step
+        lo, hi, w = (w, hi, w + step) if below else (lo, w, w - step)
         step *= 2.0
         if not lo < w < hi:
             w = 0.5 * (lo + hi)
             if not lo < w < hi:
                 return math.copysign(w, zt)
+        below = _dido_ratio(w)[0] < m
 
 
 def _hyperbola_length(T: float, w: float) -> float:

@@ -30,7 +30,7 @@ from heislor.heisenberg_core import (
     in_causal_future,
     require_finite,
 )
-from heislor.minkowski_iso import _newton_step, _odd_tail, boost_to_axis
+from heislor.minkowski_iso import _newton_float, _newton_step, _odd_tail, _xp, boost_to_axis
 
 
 class BoxSpec(NamedTuple):
@@ -43,12 +43,25 @@ class BoxSpec(NamedTuple):
 _ARC_CHUNK = 1 << 16
 
 
+def _arc_start(m):
+    # Newton's start for m >= 1e-9, interpolating phi ~ 12 m at m -> 0 and
+    # 2 pi - phi ~ sqrt(pi / m) at m -> oo.  Floats or arrays.
+    s = (6.0 / math.pi) * m / _xp(m).sqrt(1.0 + (9.0 / math.pi ** 3) * m)
+    return (2.0 * math.pi) * s / (1.0 + s)
+
+
+def _arc_angle(m: float) -> float:
+    # _solve_arc_angle for one float m, with the same root, start, steps and stop
+    if m < 1e-9:
+        return 12.0 * m
+    return _newton_float(_arc_start(m), m, 0.0, 2.0 * math.pi, circ=True)[0]
+
+
 def _solve_arc_angle(m):
     # invert R_circ on [0, 2 pi) for m >= 0.  Below m = 1e-9 the series root
     # phi = 12 m (1 - 24 m^2 / 5 + ...) is exact in float64.  Larger m take
-    # minkowski_iso._newton_step on [0, 2 pi], in chunks of _ARC_CHUNK, from a
-    # start interpolating phi ~ 12 m at m -> 0 and 2 pi - phi ~ sqrt(pi / m)
-    # at m -> oo, until done: four to six evaluations per element on average.
+    # minkowski_iso._newton_step on [0, 2 pi], in chunks of _ARC_CHUNK, from
+    # _arc_start, until done: four to six evaluations per element on average.
     m = np.asarray(m, dtype=float)
     flat = m.ravel()
     phi = 12.0 * flat
@@ -56,9 +69,7 @@ def _solve_arc_angle(m):
     for c0 in range(0, len(todo), _ARC_CHUNK):
         idx = todo[c0:c0 + _ARC_CHUNK]
         mc = flat[idx]
-        s = (6.0 / math.pi) * mc / np.sqrt(1.0 + (9.0 / math.pi ** 3) * mc)
-        p = (2.0 * math.pi) * s / (1.0 + s)
-        lo, hi = 0.0, 2.0 * math.pi
+        p, lo, hi = _arc_start(mc), 0.0, 2.0 * math.pi
         for _ in range(100):
             if not len(idx):
                 break
@@ -68,6 +79,19 @@ def _solve_arc_angle(m):
             idx, mc, p, lo, hi = idx[go], mc[go], p[go], lo[go], hi[go]
         phi[idx] = p
     return phi.reshape(m.shape)
+
+
+def _near_circle_factor(m):
+    # d / chord for m = |z| / chord^2 > 1e2.  Near the full circle phi = 2 pi -
+    # eps cannot hold the digits of eps, and (phi/2) / sin(phi/2) magnifies
+    # its last ulp: solve sin(eps/2) = sqrt((2 pi - (eps - sin eps)) / (8 m))
+    # for s = sin(eps/2) instead, a fixed point that gains at least three
+    # digits a step, and return (pi - eps/2) / s.  Floats or arrays.
+    xp, asin = (np, np.arcsin) if isinstance(m, np.ndarray) else (math, math.asin)
+    s = xp.sqrt((0.25 * math.pi) / m)
+    for _ in range(3):
+        s = xp.sqrt((2.0 * math.pi - _odd_tail(2.0 * asin(s), circ=True)) / (8.0 * m))
+    return (math.pi - asin(s)) / s
 
 
 def _distance_from_origin(xyz: np.ndarray) -> np.ndarray:
@@ -85,16 +109,8 @@ def _distance_from_origin(xyz: np.ndarray) -> np.ndarray:
         phi = _solve_arc_angle(m)
         half = 0.5 * phi
         factor = np.divide(half, np.sin(half), out=np.ones(len(half)), where=phi > 0.0)
-        # near the full circle phi = 2 pi - eps cannot hold the digits of
-        # eps < 2e-3, and d = chord (pi - eps/2) / sin(eps/2) would lose
-        # them: above m = 1e6 solve sin(eps/2) = sqrt((2 pi - (eps - sin eps))
-        # / (8 m)) for it instead, a fixed point that gains ten digits a step
-        big = np.flatnonzero(m > 1e6)
-        mb = m[big]
-        s = np.sqrt((0.25 * math.pi) / mb)
-        for _ in range(2):
-            s = np.sqrt((2.0 * math.pi - _odd_tail(2.0 * np.arcsin(s), circ=True)) / (8.0 * mb))
-        factor[big] = (math.pi - np.arcsin(s)) / s
+        big = m > 1e2
+        factor[big] = _near_circle_factor(m[big])
         out[rest] = ch * factor
     return out
 
@@ -133,12 +149,24 @@ def _distance_fast(xyz: np.ndarray) -> np.ndarray:
 
 
 def sr_distance(p, q) -> float:
-    """Carnot-Caratheodory distance between two points of the group."""
+    """Carnot-Caratheodory distance between two points of the group.
+
+    The float twin of _distance_from_origin, on the same kernel pieces; the
+    two agree within an ulp or so (libm's tan, log and asin against numpy's).
+    """
     require_finite(p, q)
-    r = group_mul(group_inv(p), q)
-    if r.z == 0.0:
-        return math.hypot(r.x, r.y)
-    return float(_distance_from_origin(np.array([r]))[0])
+    x, y, z = group_mul(group_inv(p), q)
+    # np.hypot, as the array path: math.hypot rounds differently
+    chord, az = float(np.hypot(x, y)), abs(z)
+    if z == 0.0:
+        return chord
+    if chord <= 1e-14 * math.sqrt(az + 1.0):
+        return 2.0 * math.sqrt(math.pi * az)
+    m = az / (chord * chord)
+    if m > 1e2:
+        return chord * _near_circle_factor(m)
+    half = 0.5 * _arc_angle(m)
+    return chord * (half / math.sin(half) if half > 0.0 else 1.0)
 
 
 def box_contains(spec: BoxSpec, p) -> bool:

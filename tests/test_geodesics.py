@@ -113,6 +113,21 @@ def test_log_domain_errors():
         log(ORIGIN)
 
 
+def test_log_not_chronological_explains_itself():
+    # the defect -a^2 + b^2 + 4|c| of the point, and c/T^2 when a > |b|
+    prefix = "point not in the chronological future"
+    with pytest.raises(NotChronologicalError) as err:
+        log(Event(1.0, 0.0, 0.375))  # above the cone's upper sheet
+    assert str(err.value).startswith(prefix)
+    assert err.value.defect == 0.5 and err.value.zt == 0.375
+    assert "= 0.5," in str(err.value) and "c/T^2 = 0.375" in str(err.value)
+    with pytest.raises(NotChronologicalError) as err:
+        log(Event(1.0, -2.0, 0.5))  # spacelike chord, no T
+    assert str(err.value).startswith(prefix)
+    assert err.value.defect == 5.0 and err.value.zt is None
+    assert "c/T^2" not in str(err.value)
+
+
 def test_exp_jacobian_det_positive_and_scaling():
     det = exp_jacobian_det(GeoParam(1.0, 0.0, 0.0), 1.0)
     assert abs(det - 1.0 / 12.0) < 1e-15  # t^5 (u^2 - v^2)/12 at w = 0

@@ -8,15 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heislor import sr_metric
 from heislor.heisenberg_core import ORIGIN, Event, dilate, group_mul, in_causal_future
-from heislor.minkowski_iso import _dido_ratio, _odd_tail, boost_to_axis
+from heislor.minkowski_iso import _dido_ratio, _odd_tail, _solve_bending, boost_to_axis
 from heislor.sr_metric import (
     BoxSpec,
+    _arc_angle,
     _boundary_sheet_distance,
     _diamond_membership,
     _distance_fast,
     _distance_from_origin,
     _inner_radius_minimizer,
+    _near_circle_factor,
     _solve_arc_angle,
     ball_in_diamond,
     box_contains,
@@ -53,6 +56,65 @@ def test_distance_near_full_circle():
             exact = float(mp.mpf(ch) * (mp.pi - e / 2) / mp.sin(e / 2))
             d = sr_distance(ORIGIN, Event(ch, 0.0, 1.0))
             assert abs(d - exact) <= 1e-15 * exact
+
+
+def test_distance_near_circle_matches_mpmath():
+    # m = |z| / chord^2 over logspace(2, 7), against 40-digit distances.
+    # Above m = 1e2 the fixed point on eps = 2 pi - phi keeps the digits that
+    # (phi/2) / sin(phi/2) would take from the last ulp of phi; m = 1e2
+    # itself is still solved for phi, where one ulp of phi costs about 35
+    # ulps of the distance
+    m = np.logspace(2.0, 7.0, 501)
+    pts = np.column_stack([np.ones_like(m), np.zeros_like(m), m])
+    with mp.workdps(40):
+        exact = []
+        for mi in m:
+            M = mp.mpf(float(mi))
+            e = mp.findroot(lambda e: (2 * mp.pi - e + mp.sin(e)) / (8 * mp.sin(e / 2) ** 2) - M, mp.sqrt(mp.pi / M))
+            exact.append(float((mp.pi - e / 2) / mp.sin(e / 2)))
+    exact = np.array(exact)
+    bound = np.where(m < 1e3, 2e-15, 4e-16)
+    scalar = np.array([sr_distance(ORIGIN, Event(*p)) for p in pts])
+    for d in (_distance_from_origin(pts), scalar):
+        assert np.all(np.abs(d - exact) <= bound * exact)
+
+
+def test_sr_distance_matches_vectorized(monkeypatch):
+    # the float path of sr_distance against _distance_from_origin on 20,000
+    # seeded points over scales 1e-8 ... 1e8, with |z| / chord^2 spread over
+    # 1e-12 ... 1e12, and on z = 0, chord = 0, the series root (m < 1e-9) and
+    # both sides of the near-circle switch at m = 1e2
+    rng = np.random.default_rng(7)
+    n = 20000
+    scale = 10.0 ** rng.uniform(-8.0, 8.0, n)
+    xy = rng.normal(size=(n, 2)) * scale[:, None]
+    z = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12.0, 12.0, n) * np.sum(xy * xy, axis=1)
+    edge = [[3.0, 4.0, 0.0], [0.0, 0.0, 2.0], [1e-15, 0.0, 1.0], [1.0, 0.0, 1e-10], [2.0, 1.0, 5e-12]]
+    edge += [[1.0, 0.0, mi] for mi in np.nextafter(1e2, [0.0, 1e2, 1e3])]
+    pts = np.vstack([np.column_stack([xy, z]), edge])
+    want = _distance_from_origin(pts)
+
+    def no_array_path(*args):
+        raise AssertionError("sr_distance went through the array path")
+
+    monkeypatch.setattr(sr_metric, "_distance_from_origin", no_array_path)
+    monkeypatch.setattr(sr_metric, "_solve_arc_angle", no_array_path)
+    got = np.array([sr_distance(ORIGIN, Event(*p)) for p in pts])
+    assert np.all(np.abs(got - want) <= 4.0 * np.spacing(want))
+
+
+def test_float_solves_return_python_floats():
+    # the scalar drivers stay off numpy: a numpy scalar or 0-d array would
+    # make every later float operation on them slower
+    for zt in (0.0, 3e-12, -0.07, 0.2, -0.2499):  # series root, Newton + tightening
+        assert type(_solve_bending(zt)) is float
+    for m in (0.0, 3e-12, 0.4, 50.0):  # series root, Newton
+        assert type(_arc_angle(m)) is float
+    for m in (1e2 * (1.0 + 1e-15), 1e5, 1e30):  # near-circle
+        assert type(_near_circle_factor(m)) is float
+    for q in (Event(3.0, 4.0, 0.0), Event(0.0, 0.0, 1.0), Event(1.0, 0.0, 1e-12), Event(1.0, 0.5, 0.3),
+              Event(1.0, 0.0, 1e4)):
+        assert type(sr_distance(ORIGIN, q)) is float
 
 
 def test_distance_half_circle_point():
