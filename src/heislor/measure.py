@@ -142,14 +142,33 @@ def _unit_ball_volume() -> float:
     return float(math.pi * np.sum(wg * 4.0 * math.pi * r * f * np.abs(drdphi)))
 
 
+# A point at CC distance l from 0 ends a horizontal curve of length l.  Its
+# planar projection runs from (0, 0) to (x, y), so x^2 + y^2 <= l^2, and z is
+# the signed area the projection encloses with the chord back to (0, 0).
+# Reflect the projection across the chord's line and run it backwards: the
+# closed curve of length 2 l so formed encloses 2 z, and the isoperimetric
+# inequality 4 pi |area| <= length^2 gives |z| <= l^2 / (2 pi), Dido's
+# semicircle.  So B(0, rho) lies in {x^2 + y^2 <= rho^2, |z| <= rho^2 / (2 pi)}.
+# The relative slack _BALL_SLACK is far above the exact distance's relative
+# error (below 1e-14) and the rounding of both tests, so no point whose
+# computed distance is <= rho fails them.
+_BALL_SLACK = 1e-9
+
+
 @functools.lru_cache(maxsize=4)
 def _half_ball_points(seed: int, n: int):
-    # uniform sample of B(0, 1/2), the set to be covered before dilating by 2
+    # uniform sample of B(0, 1/2), the set to be covered before dilating by 2:
+    # box draws that pass the two necessary bounds above, then the exact
+    # distance.  The kept rows, and their order, are those of the exact
+    # distance on every draw.
     out = []
     got = 0
     chunk = max(2 * n, 65536)
+    r2 = 0.25 * (1.0 + _BALL_SLACK)
     for i in range(200):
         pts = sr_metric.uniform_box([seed, i], (-0.5, -0.5, -0.25), (0.5, 0.5, 0.25), chunk)
+        x, y, z = pts.T
+        pts = pts[(x * x + y * y <= r2) & (np.abs(z) <= r2 / (2.0 * math.pi))]
         keep = pts[sr_metric._distance_from_origin(pts) <= 0.5]
         out.append(keep)
         got += len(keep)
@@ -190,12 +209,33 @@ def _net_conflicts(x, y, z, ci, ki, delta: float) -> np.ndarray:
     return out
 
 
-def _net_indices(pts: np.ndarray, delta: float) -> np.ndarray:
-    # indices of the points _greedy_net keeps, ascending
-    n = len(pts)
-    if n == 0:
-        return np.empty(0, dtype=np.intp)
-    x, y, z = (np.ascontiguousarray(pts[:, i], dtype=float) for i in range(3))
+# The kept points' index.  Let K = (X, Y, 0) be the centre of a planar cell and
+# zeta^K(p) = z - (x Y - X y)/2 the z of p K^-1, the area coordinate of p in
+# the frame of K; a kept point k is filed in its own cell K under zeta_k =
+# zeta^K(k).  For a candidate c, d = c - k in the plane and u = k - K,
+#
+#     zrel = z_c - z_k + (x_k y_c - x_c y_k)/2 = zeta^K(c) - zeta_k - (d x u)/2,
+#
+# where zrel is the z of the displacement _net_conflicts forms and d x u =
+# d_x u_y - d_y u_x.  A pair reaches _distance_fast only if |d| <= delta and
+# pi |zrel| <= delta^2, and |u| <= w / sqrt(2) for cells of width w, so then
+#
+#     |zeta^K(c) - zeta_k| <= delta^2 / pi + delta w / (2 sqrt(2)).
+#
+# The window searched in each neighbour cell is this bound widened by the
+# relative slack _NET_SLACK, for the rounding of the chord test and of the
+# cell index, which can put k a hair outside its cell, plus 1e-12 of the
+# largest |z| + r^2 (r the largest planar coordinate or cell centre), which
+# bounds each term of zeta and zrel, for their rounding.  So every pair the
+# area test passes lies in the window.
+_NET_SLACK = 1e-9
+
+
+def _net_keys(x, y, z, delta: float):
+    """(key, ends): each point's key, in the order (cell, zeta), and the
+    matrix and offsets that give a candidate's search ends in its neighbour
+    cells, ends[0] @ [key, x, y] + ends[1]: the first half of the rows are
+    window starts, the second half window ends."""
     x0 = float(np.min(x))
     y0 = float(np.min(y))
     span = max(float(np.max(x)) - x0, float(np.max(y)) - y0)
@@ -205,20 +245,59 @@ def _net_indices(pts: np.ndarray, delta: float) -> np.ndarray:
     ix = ((x - x0) / width).astype(np.int64) + 1
     iy = ((y - y0) / width).astype(np.int64) + 1
     ny = int(np.max(iy)) + 2
+    # zeta in the own cell, less the least one
+    key = z - 0.5 * (x * (y0 + (iy - 0.5) * width) - (x0 + (ix - 0.5) * width) * y)
+    key -= np.min(key)
+    zspan = float(np.max(key))
+    r = max(-x0, float(np.max(x)), -y0, float(np.max(y))) + width
+    win = (delta * delta / math.pi + delta * width / (2.0 * math.sqrt(2.0))) * (1.0 + _NET_SLACK)
+    win += 1e-12 * (float(np.max(np.abs(z))) + r * r)
+    # The key is cell S + zeta.  A candidate's zeta in the neighbour cell
+    # (a w, b w) from its own is its own zeta less w (b x - a y) / 2, within
+    # w r of it.  S exceeds twice the zeta range, that shift and the window,
+    # so each window holds the keys of one cell only, and the keys' rounding,
+    # below 1e-15 of the largest, widens the window.
+    S = 2.0 * (zspan + width * r + win)
     cell = ix * ny + iy
-    around = np.array([a * ny + b for a in (-1, 0, 1) for b in (-1, 0, 1)])
+    key += cell * S
+    win += 4e-15 * (float(np.max(cell)) + ny + 2) * S
+    steps = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    toward = np.array([[1.0, -0.5 * width * b, 0.5 * width * a] for a, b in steps])
+    offset = np.array([(a * ny + b) * S for a, b in steps])
+    # Where a window spans at least half the zeta range it leaves out little
+    # of a cell.  Then each column of three cells, consecutive in key order,
+    # is searched as one run, from the window in its lowest cell to the window
+    # in its highest; otherwise each cell is searched through its window.
+    lo, hi = ([0, 3, 6], [2, 5, 8]) if 2.0 * win >= zspan else (range(9), range(9))
+    ends = np.concatenate([offset[lo] - win, offset[hi] + win])
+    return key, (toward[[*lo, *hi]], ends[:, None])
+
+
+def _net_indices(pts: np.ndarray, delta: float) -> np.ndarray:
+    # indices of the points _greedy_net keeps, ascending
+    n = len(pts)
+    if n == 0:
+        return np.empty(0, dtype=np.intp)
+    x, y, z = (np.ascontiguousarray(pts[:, i], dtype=float) for i in range(3))
+    key, (toward, offset) = _net_keys(x, y, z, delta)
+    m = len(offset) // 2
     kept = np.empty(n, dtype=np.intp)
     k = 0
+    # the kept points in key order, and their keys
+    ids = np.empty(0, dtype=np.intp)
+    keys = np.empty(0)
     for b0 in range(0, n, _NET_BLOCK):
         cand = np.arange(b0, min(n, b0 + _NET_BLOCK))
         if k:
-            # the block against the points kept before it, through the grid
-            ids = kept[:k][np.argsort(cell[kept[:k]])]
-            cells = cell[ids]
-            keys = (cell[cand][:, None] + around).ravel()
-            lo = np.searchsorted(cells, keys, side="left")
-            cnt = np.searchsorted(cells, keys, side="right") - lo
-            owner = np.repeat(np.arange(len(keys)) // len(around), cnt)
+            # the block against the points kept before it, through the
+            # windows; the candidates in key order and the ends row by row,
+            # so that each run of searches goes up the keys
+            order = np.argsort(key[cand])
+            c = cand[order]
+            q = toward @ np.stack([key[c], x[c], y[c]]) + offset
+            lo = np.searchsorted(keys, q[:m].ravel(), side="left")
+            cnt = np.searchsorted(keys, q[m:].ravel(), side="right") - lo
+            owner = np.repeat(np.tile(order, m), cnt)
             first = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
             partner = ids[np.arange(len(owner)) + first]
             hit = np.zeros(len(cand), dtype=bool)
@@ -235,6 +314,11 @@ def _net_indices(pts: np.ndarray, delta: float) -> np.ndarray:
         new = cand[keep]
         kept[k:k + len(new)] = new
         k += len(new)
+        if len(new):
+            new = new[np.argsort(key[new])]
+            at = np.searchsorted(keys, key[new])
+            keys = np.insert(keys, at, key[new])
+            ids = np.insert(ids, at, new)
     return kept[:k]
 
 
@@ -249,10 +333,15 @@ def _greedy_net(pts: np.ndarray, delta: float) -> int:
     slightly wider than delta: the chord is a lower bound for the CC distance,
     so a conflicting kept point lies in the candidate's cell or one of its
     eight neighbours, and the extra width absorbs the rounding of the cell
-    index at the cell edges.  The survivors of the block are then resolved
-    against each other by a sequential greedy over their conflicting pairs.
-    The pairs the grid skips, and those _net_conflicts rules out by enclosed
-    area, fail the test anyway, so the net is the one a point-by-point greedy
+    index at the cell edges.  Within a cell the kept points are sorted by
+    zeta, the z of the point in the frame of the cell's centre, and only
+    those whose zeta is within delta^2 / pi + delta w / (2 sqrt 2) of the
+    candidate's (w the cell width), plus rounding slack, are tested: the
+    others enclose too much area with the candidate to be within delta.  The
+    survivors of the block are then resolved against each other by a
+    sequential greedy over their conflicting pairs.  The pairs the grid and
+    the window skip, and those _net_conflicts rules out by enclosed area,
+    fail the test anyway, so the net is the one a point-by-point greedy
     gives.
     """
     return len(_net_indices(pts, delta))

@@ -22,7 +22,7 @@ from heislor.measure import (
     growth_ratio_scan,
     hausdorff_bounds,
 )
-from heislor.sr_metric import _distance_fast
+from heislor.sr_metric import _distance_fast, _distance_from_origin, uniform_box
 
 
 def test_unit_constant():
@@ -239,12 +239,52 @@ def _sequential_net(pts, delta):
     return np.array(kept, dtype=np.intp)
 
 
+def _moved(pts, move):
+    # the sample left-translated far from the origin, or dilated; delta
+    # scales with the dilation
+    if move == "translated":
+        return np.column_stack(group_mul(Event(1e3, -7e2, 5e5), pts.T)), 1.0
+    if move == "dilated":
+        return np.column_stack(dilate(1e-3, pts.T)), 1e-3
+    return pts, 1.0
+
+
+@pytest.mark.parametrize("move", ["as drawn", "translated", "dilated"])
 @pytest.mark.parametrize("delta", [0.4, 0.2, 0.1, 0.05, 0.02])
-def test_blocked_net_matches_sequential_greedy(delta):
-    pts = np.array(_half_ball_points(0, 3000))
-    got = _net_indices(pts, delta)
-    assert np.array_equal(got, _sequential_net(pts, delta))
-    assert _greedy_net(pts, delta) == len(got)
+def test_blocked_net_matches_sequential_greedy(delta, move):
+    # far from the origin the rounding of the area coordinate is 1e-10, so
+    # the index's window must carry its slack
+    pts, lam = _moved(np.array(_half_ball_points(0, 3000)), move)
+    got = _net_indices(pts, lam * delta)
+    assert np.array_equal(got, _sequential_net(pts, lam * delta))
+    assert _greedy_net(pts, lam * delta) == len(got)
+
+
+def _unfiltered_half_ball(seed, n):
+    # the half-ball rule without the pre-test: the exact distance on every draw
+    out, got = [], 0
+    for i in range(200):
+        pts = uniform_box([seed, i], (-0.5, -0.5, -0.25), (0.5, 0.5, 0.25), max(2 * n, 65536))
+        out.append(pts[_distance_from_origin(pts) <= 0.5])
+        got += len(out[-1])
+        if got >= n:
+            break
+    return np.concatenate(out)[:n]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_half_ball_pretest_keeps_the_exact_sample(seed):
+    pts = _half_ball_points(seed, 5000)
+    assert np.array_equal(pts, _unfiltered_half_ball(seed, 5000))
+
+
+def test_half_ball_pretest_bound_is_attained():
+    # the semicircle of length 1/2 ends at chord 1/pi and encloses 1/(8 pi),
+    # on both bounds of the pre-test at once: only its slack keeps such points
+    theta = np.linspace(0.0, 2.0 * math.pi, 7)
+    chord = 1.0 / math.pi
+    pts = np.column_stack([chord * np.cos(theta), chord * np.sin(theta), np.full(7, 1.0 / (8.0 * math.pi))])
+    assert np.allclose(_distance_from_origin(pts), 0.5, rtol=1e-15, atol=0.0)
 
 
 def test_blocked_net_duplicates_and_lattice_ties():
