@@ -186,10 +186,13 @@ _NET_BLOCK = 512
 def _net_conflicts(x, y, z, ci, ki, delta: float) -> np.ndarray:
     # the net's pair test for candidates ci against earlier points ki (index
     # arrays into the coordinate columns): chord <= delta, then the
-    # interpolated CC distance of the group displacement <= delta.  A curve
-    # enclosing area |z| is at least 2 sqrt(pi |z|) long, so a pair with
-    # pi |z| > delta^2 is more than 2 delta apart and fails the distance test
-    # however the interpolation rounds; those pairs skip _distance_fast.
+    # interpolated CC distance of the group displacement k^-1 c <= delta, as
+    # for the left-invariant sr_distance(k, c).  A horizontal curve that
+    # encloses the area |z| with its chord is at least sqrt(2 pi |z|) long
+    # (Dido's semicircle, as for _half_ball_points), so a pair with
+    # pi |z| > delta^2 is more than sqrt(2) delta apart and fails the
+    # distance test however the interpolation rounds; those pairs skip
+    # _distance_fast.
     cx = x[ci]
     cy = y[ci]
     kx = x[ki]
@@ -197,10 +200,10 @@ def _net_conflicts(x, y, z, ci, ki, delta: float) -> np.ndarray:
     dx = cx - kx
     dy = cy - ky
     near = np.flatnonzero(dx * dx + dy * dy <= delta * delta)
-    # z-component of the group displacement to each near point
+    # z-component of the group displacement from each near point
     xk = kx[near]
     yk = ky[near]
-    zrel = z[ci[near]] - z[ki[near]] + 0.5 * (xk * cy[near] - cx[near] * yk)
+    zrel = z[ci[near]] - z[ki[near]] + 0.5 * (cx[near] * yk - xk * cy[near])
     small = np.flatnonzero(math.pi * np.abs(zrel) <= delta * delta)
     near = near[small]
     rel = np.column_stack([dx[near], dy[near], zrel[small]])
@@ -210,15 +213,16 @@ def _net_conflicts(x, y, z, ci, ki, delta: float) -> np.ndarray:
 
 
 # The kept points' index.  Let K = (X, Y, 0) be the centre of a planar cell and
-# zeta^K(p) = z - (x Y - X y)/2 the z of p K^-1, the area coordinate of p in
+# zeta^K(p) = z + (x Y - X y)/2 the z of K^-1 p, the area coordinate of p in
 # the frame of K; a kept point k is filed in its own cell K under zeta_k =
 # zeta^K(k).  For a candidate c, d = c - k in the plane and u = k - K,
 #
-#     zrel = z_c - z_k + (x_k y_c - x_c y_k)/2 = zeta^K(c) - zeta_k - (d x u)/2,
+#     zrel = z_c - z_k + (x_c y_k - x_k y_c)/2 = zeta^K(c) - zeta_k + (d x u)/2,
 #
-# where zrel is the z of the displacement _net_conflicts forms and d x u =
-# d_x u_y - d_y u_x.  A pair reaches _distance_fast only if |d| <= delta and
-# pi |zrel| <= delta^2, and |u| <= w / sqrt(2) for cells of width w, so then
+# where zrel is the z of the displacement k^-1 c that _net_conflicts forms
+# and d x u = d_x u_y - d_y u_x.  A pair reaches _distance_fast only if
+# |d| <= delta and pi |zrel| <= delta^2, and |u| <= w / sqrt(2) for cells of
+# width w, so then
 #
 #     |zeta^K(c) - zeta_k| <= delta^2 / pi + delta w / (2 sqrt(2)).
 #
@@ -227,7 +231,9 @@ def _net_conflicts(x, y, z, ci, ki, delta: float) -> np.ndarray:
 # cell index, which can put k a hair outside its cell, plus 1e-12 of the
 # largest |z| + r^2 (r the largest planar coordinate or cell centre), which
 # bounds each term of zeta and zrel, for their rounding.  So every pair the
-# area test passes lies in the window.
+# area test passes lies in the window, and the same pairs reach
+# _distance_fast as without it.  (A pair within delta has |zrel| <= delta^2
+# / (2 pi), half the area bound, so the slack never decides the net itself.)
 _NET_SLACK = 1e-9
 
 
@@ -246,14 +252,14 @@ def _net_keys(x, y, z, delta: float):
     iy = ((y - y0) / width).astype(np.int64) + 1
     ny = int(np.max(iy)) + 2
     # zeta in the own cell, less the least one
-    key = z - 0.5 * (x * (y0 + (iy - 0.5) * width) - (x0 + (ix - 0.5) * width) * y)
+    key = z + 0.5 * (x * (y0 + (iy - 0.5) * width) - (x0 + (ix - 0.5) * width) * y)
     key -= np.min(key)
     zspan = float(np.max(key))
     r = max(-x0, float(np.max(x)), -y0, float(np.max(y))) + width
     win = (delta * delta / math.pi + delta * width / (2.0 * math.sqrt(2.0))) * (1.0 + _NET_SLACK)
     win += 1e-12 * (float(np.max(np.abs(z))) + r * r)
     # The key is cell S + zeta.  A candidate's zeta in the neighbour cell
-    # (a w, b w) from its own is its own zeta less w (b x - a y) / 2, within
+    # (a w, b w) from its own is its own zeta plus w (b x - a y) / 2, within
     # w r of it.  S exceeds twice the zeta range, that shift and the window,
     # so each window holds the keys of one cell only, and the keys' rounding,
     # below 1e-15 of the largest, widens the window.
@@ -262,7 +268,7 @@ def _net_keys(x, y, z, delta: float):
     key += cell * S
     win += 4e-15 * (float(np.max(cell)) + ny + 2) * S
     steps = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
-    toward = np.array([[1.0, -0.5 * width * b, 0.5 * width * a] for a, b in steps])
+    toward = np.array([[1.0, 0.5 * width * b, -0.5 * width * a] for a, b in steps])
     offset = np.array([(a * ny + b) * S for a, b in steps])
     # Where a window spans at least half the zeta range it leaves out little
     # of a cell.  Then each column of three cells, consecutive in key order,

@@ -22,7 +22,7 @@ from heislor.measure import (
     growth_ratio_scan,
     hausdorff_bounds,
 )
-from heislor.sr_metric import _distance_fast, _distance_from_origin, uniform_box
+from heislor.sr_metric import _distance_fast, _distance_from_origin, sr_distance, uniform_box
 
 
 def test_unit_constant():
@@ -220,7 +220,8 @@ def test_dimension_probe_trends_small():
 
 def _sequential_net(pts, delta):
     # point-by-point greedy in sample order with the net's pair test: chord
-    # <= delta, then the interpolated distance of the displacement <= delta
+    # <= delta, then the interpolated distance of the displacement k^-1 c
+    # from each kept point k <= delta
     kept = []
     for i, (cx, cy, cz) in enumerate(pts):
         if kept:
@@ -231,7 +232,7 @@ def _sequential_net(pts, delta):
             if np.any(near):
                 xk = k[near, 0]
                 yk = k[near, 1]
-                zrel = cz - k[near, 2] + 0.5 * (xk * cy - cx * yk)
+                zrel = cz - k[near, 2] + 0.5 * (cx * yk - xk * cy)
                 rel = np.column_stack([dx[near], dy[near], zrel])
                 if np.any(_distance_fast(rel) <= delta):
                     continue
@@ -285,6 +286,32 @@ def test_half_ball_pretest_bound_is_attained():
     chord = 1.0 / math.pi
     pts = np.column_stack([chord * np.cos(theta), chord * np.sin(theta), np.full(7, 1.0 / (8.0 * math.pi))])
     assert np.allclose(_distance_from_origin(pts), 0.5, rtol=1e-15, atol=0.0)
+
+
+def test_net_pair_test_is_left_invariant():
+    # d(k, c) = |k^-1 c| = 0.4659, while |c k^-1| = 0.1784: at delta = 0.4
+    # both points are kept
+    k, c = Event(0.3, 0.0, 0.01), Event(0.3, 0.1, 0.0)
+    assert abs(sr_distance(k, c) - 0.4659) < 1e-4
+    assert abs(sr_distance(ORIGIN, group_mul(c, Event(-0.3, 0.0, -0.01))) - 0.1784) < 1e-4
+    pts = np.array([k, c])
+    assert np.array_equal(_net_indices(pts, 0.4), [0, 1])
+    assert np.array_equal(_sequential_net(pts, 0.4), [0, 1])
+
+
+@pytest.mark.parametrize("delta", [0.4, 0.2, 0.1, 0.05])
+def test_net_matches_greedy_on_sr_distance(delta):
+    # a point-by-point greedy on the exact, left-invariant sr_distance, its
+    # earlier kept points tried nearest chord first
+    pts = np.array(_half_ball_points(0, 3000))
+    kept = []
+    for i, c in enumerate(pts):
+        k = pts[kept]
+        chord = np.hypot(k[:, 0] - c[0], k[:, 1] - c[1])
+        near = np.flatnonzero(chord <= delta)
+        if not any(sr_distance(pts[kept[j]], c) <= delta for j in near[np.argsort(chord[near])]):
+            kept.append(i)
+    assert np.array_equal(_net_indices(pts, delta), kept)
 
 
 def test_blocked_net_duplicates_and_lattice_ties():
