@@ -8,8 +8,6 @@ synthetic curvature-dimension inequalities that fail on this space.
 
 from heislor.heisenberg_core import (
     Event,
-    PlanarPoint,
-    HorizontalVector,
     CausalClass,
     SampledCurve,
     Diamond,
@@ -30,8 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Event",
-    "PlanarPoint",
-    "HorizontalVector",
     "CausalClass",
     "SampledCurve",
     "Diamond",

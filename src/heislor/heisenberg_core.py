@@ -49,20 +49,6 @@ class Event(NamedTuple):
     z: float
 
 
-class PlanarPoint(NamedTuple):
-    """A point of the two-dimensional Minkowski plane (-dx^2 + dy^2)."""
-
-    x: float
-    y: float
-
-
-class HorizontalVector(NamedTuple):
-    """Coefficients (u, v) of a horizontal vector u X + v Y."""
-
-    u: float
-    v: float
-
-
 class CausalClass(NamedTuple):
     """Causal type of a horizontal vector.
 

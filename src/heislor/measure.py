@@ -381,6 +381,8 @@ def hausdorff_bounds(center, radius, delta, seed, n_samples: int = 100000):
         raise ValueError("radius must be positive")
     if not 0.0 < delta < radius / 2.0:
         raise ValueError("need 0 < delta < radius/2")
+    if int(n_samples) < 1:
+        raise ValueError("need n_samples >= 1")
     k = _net_size(int(seed), int(n_samples), round(delta / radius, 12))
     lower = radius ** 4 * _unit_ball_volume() / UNIT_DIAMOND_VOLUME
     return lower, _cover_sum(4, k, delta)
@@ -392,6 +394,8 @@ def dimension_probe(center, radius, d_values, seed=0, n_samples: int = 100000, d
     The sums diverge for d < 4, vanish for d > 4 and stabilize at d = 4;
     the report lists (delta, sum) per trial dimension and a trend tag.
     """
+    if int(n_samples) < 1:
+        raise ValueError("need n_samples >= 1")
     if deltas is None:
         deltas = [radius * f for f in (0.4, 0.2, 0.1, 0.05)]
     sizes = [

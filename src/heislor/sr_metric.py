@@ -10,7 +10,8 @@ for the turning angle phi of the arc:
 and then d = chord * (phi/2) / sin(phi/2).  The ratio on the left and its
 bracketed Newton solve are the circular case of the Dido kernel in
 minkowski_iso.  Degenerate cases: a straight segment when z = 0 and a full
-circle (d = 2 sqrt(pi |z|)) when chord = 0.
+circle (d = 2 sqrt(pi |z|)) when chord^2 <= 1e-28 |z|, within 3e-15 of the
+arc; the test is relative, so the distance stays homogeneous at any scale.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def _distance_from_origin(xyz: np.ndarray) -> np.ndarray:
     chord = np.hypot(xyz[:, 0], xyz[:, 1])
     az = np.abs(xyz[:, 2])
     out = np.empty(len(xyz))
-    circ = chord <= 1e-14 * np.sqrt(az + 1.0)
+    circ = chord * chord <= 1e-28 * az
     out[circ] = 2.0 * np.sqrt(math.pi * az[circ])
     rest = ~circ
     if np.any(rest):
@@ -135,7 +136,7 @@ def _distance_fast(xyz: np.ndarray) -> np.ndarray:
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
     chord = np.hypot(xyz[:, 0], xyz[:, 1])
     az = np.abs(xyz[:, 2])
-    circ = chord <= 1e-14 * np.sqrt(az + 1.0)
+    circ = chord * chord <= 1e-28 * az
     safe_chord = np.where(circ, 1.0, chord)
     m = az / (safe_chord * safe_chord)
     lm_tab, lpsi_tab = _stretch_table()
@@ -160,7 +161,7 @@ def sr_distance(p, q) -> float:
     chord, az = float(np.hypot(x, y)), abs(z)
     if z == 0.0:
         return chord
-    if chord <= 1e-14 * math.sqrt(az + 1.0):
+    if chord * chord <= 1e-28 * az:
         return 2.0 * math.sqrt(math.pi * az)
     m = az / (chord * chord)
     if m > 1e2:

@@ -153,6 +153,15 @@ def test_curvature_check_json(capsys):
     assert payload["appendix_scan"][0] == [0.0, (2.0 * __import__("math").log(2.0) - 1.0) / 32.0]
 
 
+def test_hausdorff_rejects_bad_samples(capsys):
+    # no slice from the end of the sample, no division by zero
+    for n in ("-3", "0"):
+        code = run(["hausdorff", "--radius", "1", "--delta", "0.4", "--samples", n])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and "n_samples" in captured.err
+
+
 def test_usage_errors(capsys):
     assert invoke(capsys, ["nonsense"])[0] == 2
     assert invoke(capsys, ["iso-solve"])[0] == 2

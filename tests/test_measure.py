@@ -175,6 +175,11 @@ def test_hausdorff_bounds_ordering_and_scaling():
         hausdorff_bounds(ORIGIN, 1.0, 0.6, seed=0)
     with pytest.raises(ValueError):
         hausdorff_bounds(ORIGIN, -1.0, 0.1, seed=0)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n_samples"):
+            hausdorff_bounds(ORIGIN, 1.0, 0.1, seed=0, n_samples=n)
+        with pytest.raises(ValueError, match="n_samples"):
+            dimension_probe(ORIGIN, 1.0, [4], seed=0, n_samples=n)
 
 
 def test_unit_ball_volume_matches_mpmath_quad():
@@ -240,25 +245,27 @@ def _sequential_net(pts, delta):
     return np.array(kept, dtype=np.intp)
 
 
-def _moved(pts, move):
-    # the sample left-translated far from the origin, or dilated; delta
-    # scales with the dilation
-    if move == "translated":
-        return np.column_stack(group_mul(Event(1e3, -7e2, 5e5), pts.T)), 1.0
-    if move == "dilated":
-        return np.column_stack(dilate(1e-3, pts.T)), 1e-3
-    return pts, 1.0
-
-
-@pytest.mark.parametrize("move", ["as drawn", "translated", "dilated"])
 @pytest.mark.parametrize("delta", [0.4, 0.2, 0.1, 0.05, 0.02])
-def test_blocked_net_matches_sequential_greedy(delta, move):
-    # far from the origin the rounding of the area coordinate is 1e-10, so
-    # the index's window must carry its slack
-    pts, lam = _moved(np.array(_half_ball_points(0, 3000)), move)
+def test_blocked_net_matches_sequential_greedy(delta):
+    pts = np.array(_half_ball_points(0, 3000))
+    got = _net_indices(pts, delta)
+    assert np.array_equal(got, _sequential_net(pts, delta))
+    assert _greedy_net(pts, delta) == len(got)
+
+
+@pytest.mark.parametrize("move", ["translated", "dilated"])
+@pytest.mark.parametrize("delta", [0.4, 0.2, 0.1, 0.05, 0.02])
+def test_blocked_net_matches_sequential_greedy_moved(delta, move):
+    # the sample left-translated far from the origin, where the rounding of
+    # the area coordinate is 1e-10 and the index's window must carry its
+    # slack, or dilated, with delta
+    pts = np.array(_half_ball_points(0, 3000))
+    if move == "translated":
+        pts, lam = np.column_stack(group_mul(Event(1e3, -7e2, 5e5), pts.T)), 1.0
+    else:
+        pts, lam = np.column_stack(dilate(1e-3, pts.T)), 1e-3
     got = _net_indices(pts, lam * delta)
     assert np.array_equal(got, _sequential_net(pts, lam * delta))
-    assert _greedy_net(pts, lam * delta) == len(got)
 
 
 def _unfiltered_half_ball(seed, n):
@@ -303,7 +310,7 @@ def test_net_pair_test_is_left_invariant():
 def test_net_matches_greedy_on_sr_distance(delta):
     # a point-by-point greedy on the exact, left-invariant sr_distance, its
     # earlier kept points tried nearest chord first
-    pts = np.array(_half_ball_points(0, 3000))
+    pts = np.array(_half_ball_points(0, 2000))
     kept = []
     for i, c in enumerate(pts):
         k = pts[kept]

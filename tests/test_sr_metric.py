@@ -139,6 +139,21 @@ def test_distance_left_invariant(g, p, q):
     assert abs(d0 - d1) <= 1e-9 * max(d0, 1.0)
 
 
+def test_full_circle_test_is_relative():
+    # a tiny planar point is a straight segment on every path, and the
+    # distance stays homogeneous far below scale 1e-14
+    tiny = Event(1e-15, 0.0, 0.0)
+    assert sr_distance(ORIGIN, tiny) == 1e-15
+    assert _distance_from_origin(np.array([tiny]))[0] == 1e-15
+    assert _distance_fast(np.array([tiny]))[0] == 1e-15
+    q = Event(1.0, 0.0, 0.1)
+    d0 = sr_distance(ORIGIN, q)
+    for lam in (1e-12, 1e-14, 1e-16):
+        p = dilate(lam, q)
+        assert abs(sr_distance(ORIGIN, p) / lam - d0) <= 1e-14 * d0
+        assert abs(_distance_from_origin(np.array([p]))[0] / lam - d0) <= 1e-14 * d0
+
+
 @settings(max_examples=80, deadline=None)
 @given(point, st.floats(0.1, 4.0))
 def test_distance_dilation_homogeneous(p, lam):
