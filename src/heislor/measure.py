@@ -238,10 +238,10 @@ _NET_SLACK = 1e-9
 
 
 def _net_keys(x, y, z, delta: float):
-    """(key, ends): each point's key, in the order (cell, zeta), and the
-    matrix and offsets that give a candidate's search ends in its neighbour
-    cells, ends[0] @ [key, x, y] + ends[1]: the first half of the rows are
-    window starts, the second half window ends."""
+    """(key, toward, offset): each point's key, in the order (cell, zeta),
+    and the search ends of a candidate in its neighbour cells, toward @
+    [key, x, y] + offset, window starts in the first half of the rows and
+    window ends in the second."""
     x0 = float(np.min(x))
     y0 = float(np.min(y))
     span = max(float(np.max(x)) - x0, float(np.max(y)) - y0)
@@ -276,7 +276,7 @@ def _net_keys(x, y, z, delta: float):
     # in its highest; otherwise each cell is searched through its window.
     lo, hi = ([0, 3, 6], [2, 5, 8]) if 2.0 * win >= zspan else (range(9), range(9))
     ends = np.concatenate([offset[lo] - win, offset[hi] + win])
-    return key, (toward[[*lo, *hi]], ends[:, None])
+    return key, toward[[*lo, *hi]], ends[:, None]
 
 
 def _net_indices(pts: np.ndarray, delta: float) -> np.ndarray:
@@ -285,7 +285,7 @@ def _net_indices(pts: np.ndarray, delta: float) -> np.ndarray:
     if n == 0:
         return np.empty(0, dtype=np.intp)
     x, y, z = (np.ascontiguousarray(pts[:, i], dtype=float) for i in range(3))
-    key, (toward, offset) = _net_keys(x, y, z, delta)
+    key, toward, offset = _net_keys(x, y, z, delta)
     m = len(offset) // 2
     kept = np.empty(n, dtype=np.intp)
     k = 0

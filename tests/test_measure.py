@@ -256,9 +256,8 @@ def test_blocked_net_matches_sequential_greedy(delta):
 @pytest.mark.parametrize("move", ["translated", "dilated"])
 @pytest.mark.parametrize("delta", [0.4, 0.2, 0.1, 0.05, 0.02])
 def test_blocked_net_matches_sequential_greedy_moved(delta, move):
-    # the sample left-translated far from the origin, where the rounding of
-    # the area coordinate is 1e-10 and the index's window must carry its
-    # slack, or dilated, with delta
+    # the sample left-translated far from the origin, where the area
+    # coordinate is about 1e6 and rounds by 1e-10, or dilated, with delta
     pts = np.array(_half_ball_points(0, 3000))
     if move == "translated":
         pts, lam = np.column_stack(group_mul(Event(1e3, -7e2, 5e5), pts.T)), 1.0
@@ -286,12 +285,13 @@ def test_half_ball_pretest_keeps_the_exact_sample(seed):
     assert np.array_equal(pts, _unfiltered_half_ball(seed, 5000))
 
 
-def test_half_ball_pretest_bound_is_attained():
-    # the semicircle of length 1/2 ends at chord 1/pi and encloses 1/(8 pi),
-    # on both bounds of the pre-test at once: only its slack keeps such points
+def test_half_ball_pretest_bounds_are_attained():
+    # both bounds of the pre-test touch the sphere of radius 1/2: the segment
+    # to a point of chord 1/2, and the semicircle of length 1/2, which ends
+    # at chord 1/pi and encloses 1/(8 pi)
     theta = np.linspace(0.0, 2.0 * math.pi, 7)
-    chord = 1.0 / math.pi
-    pts = np.column_stack([chord * np.cos(theta), chord * np.sin(theta), np.full(7, 1.0 / (8.0 * math.pi))])
+    ends = [(0.5, 0.0), (1.0 / math.pi, 1.0 / (8.0 * math.pi))]
+    pts = np.array([(c * np.cos(t), c * np.sin(t), z) for c, z in ends for t in theta])
     assert np.allclose(_distance_from_origin(pts), 0.5, rtol=1e-15, atol=0.0)
 
 
