@@ -199,14 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp):
         sp.add_argument("--output", default=None, help="write to file instead of stdout")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("iso-solve", help="planar Lorentzian isoperimetric solver")
     sp.add_argument("a", type=float)
     sp.add_argument("b", type=float)
     sp.add_argument("c", type=float)
     sp.add_argument("--samples", type=int, default=1001)
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
     add_common(sp)
     sp.set_defaults(func=_cmd_iso_solve)
 
@@ -220,6 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("px", "py", "pz", "qx", "qy", "qz"):
         sp.add_argument(name, type=float)
     sp.add_argument("--samples", type=int, default=1001)
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
     add_common(sp)
     sp.set_defaults(func=_cmd_geodesic)
 
@@ -227,6 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("px", "py", "pz", "qx", "qy", "qz"):
         sp.add_argument(name, type=float)
     sp.add_argument("--mc", type=int, default=0, help="Monte Carlo sample count")
+    sp.add_argument("--seed", type=int, default=0)
     add_common(sp)
     sp.set_defaults(func=_cmd_diamond_volume)
 
@@ -235,6 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--radius", type=float, required=True)
     sp.add_argument("--delta", type=float, required=True)
     sp.add_argument("--samples", type=int, default=100000)
+    sp.add_argument("--seed", type=int, default=0)
     add_common(sp)
     sp.set_defaults(func=_cmd_hausdorff)
 
@@ -242,6 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("px", "py", "pz", "qx", "qy", "qz"):
         sp.add_argument(name, type=float)
     sp.add_argument("--samples", type=int, default=100000)
+    sp.add_argument("--seed", type=int, default=0)
     add_common(sp)
     sp.set_defaults(func=_cmd_diamond_box)
 

@@ -25,12 +25,12 @@ import numpy as np
 
 from heislor import minkowski_iso
 from heislor.heisenberg_core import (
-    NULL_TOL,
     ORIGIN,
     Event,
     NotCausalError,
     NotChronologicalError,
     SampledCurve,
+    _causal_defect,
     group_inv,
     group_mul,
     in_causal_future,
@@ -96,9 +96,8 @@ def log(q) -> GeoParam:
     require_finite(q)
     a, b, c = q
     if not in_chronological_future(ORIGIN, q):
-        t2 = (a - b) * (a + b)
-        zt = c / t2 if a > abs(b) else None
-        raise NotChronologicalError("point not in the chronological future", 4.0 * abs(c) - t2, zt)
+        zt = c / ((a - b) * (a + b)) if a > abs(b) else None
+        raise NotChronologicalError("point not in the chronological future", _causal_defect(q), zt)
     boost, T = minkowski_iso.boost_to_axis(a, b)
     zt = c / (T * T)
     w = _solve_bending(zt)
@@ -113,14 +112,16 @@ def tau(p, q) -> float:
     """Time separation: maximal Lorentzian length of causal curves p -> q."""
     require_finite(p, q)
     r = group_mul(group_inv(p), q)
-    if not in_causal_future(ORIGIN, r):
+    # 0 off I+(p) and on the null boundary, where the maximizer has zero
+    # length.  Within rounding of the boundary c/T^2 may round to +-1/4 past
+    # the predicate's NULL_TOL: that is the boundary too.
+    if not in_chronological_future(ORIGIN, r):
         return 0.0
     a, b, c = r
-    if -a * a + b * b + 4.0 * abs(c) >= -NULL_TOL:
-        return 0.0  # null boundary: the maximizer exists but has zero length
     T = math.sqrt((a - b) * (a + b))
+    zt = c / (T * T)
     # length sqrt(u^2 - v^2) of the axis-frame parameter
-    return _hyperbola_length(T, _solve_bending(c / (T * T)))
+    return 0.0 if abs(zt) >= 0.25 else _hyperbola_length(T, _solve_bending(zt))
 
 
 def geodesic_between(p, q, n: int = 1025) -> Union[Geodesic, SampledCurve]:
@@ -141,16 +142,7 @@ def geodesic_between(p, q, n: int = 1025) -> Union[Geodesic, SampledCurve]:
     sol = minkowski_iso.solve(prob)
     planar = minkowski_iso.sample_solution(sol, prob, n)
     lifted = lift(planar, ORIGIN)
-    pts = lifted.points
-    px, py, pz = p
-    out = np.column_stack(
-        [
-            pts[:, 0] + px,
-            pts[:, 1] + py,
-            pts[:, 2] + pz + 0.5 * (px * pts[:, 1] - py * pts[:, 0]),
-        ]
-    )
-    return SampledCurve(lifted.times, out)
+    return SampledCurve(lifted.times, np.column_stack(group_mul(p, lifted.points.T)))
 
 
 def _hyperbolic_rotation(param) -> GeoParam:
@@ -161,9 +153,10 @@ def _hyperbolic_rotation(param) -> GeoParam:
 
 
 def midpoint_map(anchor, p) -> Event:
-    """tau-midpoint of the geodesic from p to anchor."""
-    if not in_chronological_future(p, anchor):
-        raise NotChronologicalError("anchor must be in the chronological future of p")
+    """tau-midpoint of the geodesic from p to anchor.
+
+    Raises NotChronologicalError, from log, unless anchor is in I+(p).
+    """
     param = log(group_mul(group_inv(p), anchor))
     return group_mul(p, exp_point(param, 0.5))
 

@@ -134,22 +134,27 @@ def causal_class(w) -> CausalClass:
     return CausalClass(tag, future)
 
 
-def _causal_defect(r: Event) -> float:
+def _causal_defect(r: PointLike) -> float:
     # -(x^2 - y^2) + 4|z| in stable difference-of-squares form: near the null
-    # boundary x and y can agree to many digits
-    return -(r.x - r.y) * (r.x + r.y) + 4.0 * abs(r.z)
+    # boundary x and y can agree to many digits.  Floats or arrays.
+    x, y, z = r
+    return -(x - y) * (x + y) + 4.0 * abs(z)
+
+
+# The two predicates take events of floats, or events whose coordinates are
+# arrays (Event(*pts.T) for an (n, 3) array), and then answer elementwise.
 
 
 def in_causal_future(p: PointLike, q: PointLike) -> bool:
     """q reachable from p by a future-directed causal curve (q in J+(p))."""
     r = group_mul(group_inv(p), q)
-    return r.x >= -NULL_TOL and _causal_defect(r) <= NULL_TOL
+    return (r.x >= -NULL_TOL) & (_causal_defect(r) <= NULL_TOL)
 
 
 def in_chronological_future(p: PointLike, q: PointLike) -> bool:
     """q reachable from p by a future-directed timelike curve (q in I+(p))."""
     r = group_mul(group_inv(p), q)
-    return r.x > NULL_TOL and _causal_defect(r) < -NULL_TOL
+    return (r.x > NULL_TOL) & (_causal_defect(r) < -NULL_TOL)
 
 
 def signed_area(curve: SampledCurve) -> float:

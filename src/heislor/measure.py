@@ -75,16 +75,16 @@ def diamond_volume_mc(p, q, n: int, seed: int) -> VolumeEstimate:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    a, b, c = group_mul(group_inv(p), q)
-    T2 = (a - b) * (a + b)
+    r = group_mul(group_inv(p), q)
     # null and degenerate diamonds, T = 0 or |c| = T^2/4, have no volume
-    if not (a > abs(b) and 4.0 * abs(c) < T2):
+    if not in_chronological_future(ORIGIN, r):
         return VolumeEstimate(0.0, 0.0, n, seed)
+    T2 = (r.x - r.y) * (r.x + r.y)
     T = math.sqrt(T2)
-    box_volume = (0.25 * T2 - c) * (0.25 * T2 + c)
+    box_volume = (0.25 * T2 - r.z) * (0.25 * T2 + r.z)
     chunk = sr_metric.FIBRE_CHUNK
     hits = sum(
-        len(sr_metric.fibre_hits(T, c, [seed, i], min(chunk, n - i * chunk)))
+        len(sr_metric.fibre_hits(T, r.z, [seed, i], min(chunk, n - i * chunk)))
         for i in range((n + chunk - 1) // chunk)
     )
     phat = hits / n

@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from heislor.heisenberg_core import NULL_TOL, NotChronologicalError, SampledCurve
+from heislor.heisenberg_core import NULL_TOL, NotChronologicalError, SampledCurve, _causal_defect
 
 CASE_EMPTY = "empty"
 CASE_TIMELIKE_LINE = "timelike_line"
@@ -75,7 +75,7 @@ def classify(prob: IsoProblem) -> str:
     a, b, c = prob
     if a <= 0.0:
         return CASE_EMPTY
-    gap = -a * a + b * b + 4.0 * abs(c)
+    gap = _causal_defect(prob)
     if gap > NULL_TOL:
         return CASE_EMPTY
     if a - abs(b) <= NULL_TOL:
@@ -235,7 +235,7 @@ def _solve_bending(zt: float) -> float:
         return 12.0 * zt
     m = abs(zt)
     if m >= 0.25:
-        raise NotChronologicalError("vertical ratio outside (-1/4, 1/4)")
+        raise NotChronologicalError("vertical ratio outside (-1/4, 1/4)", zt=zt)
     if m < 0.15:
         w = 12.0 * m / math.sqrt(1.0 - 4.0 * m)
     else:

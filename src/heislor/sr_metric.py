@@ -10,25 +10,29 @@ for the turning angle phi of the arc:
 and then d = chord * (phi/2) / sin(phi/2).  The ratio on the left and its
 bracketed Newton solve are the circular case of the Dido kernel in
 minkowski_iso.  Degenerate cases: a straight segment when z = 0 and a full
-circle (d = 2 sqrt(pi |z|)) when chord^2 <= 1e-28 |z|, within 3e-15 of the
-arc; the test is relative, so the distance stays homogeneous at any scale.
+circle (d = 2 sqrt(pi |z|)) when chord <= 1e-14 sqrt(|z|), within 3e-15 of
+the arc; the test is relative and squares no chord, so the distance stays
+homogeneous at any scale, down to the smallest subnormal chord.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
 
 from heislor.heisenberg_core import (
     NULL_TOL,
+    ORIGIN,
     Diamond,
     Event,
     group_inv,
     group_mul,
     in_causal_future,
+    in_chronological_future,
     require_finite,
 )
 from heislor.minkowski_iso import _newton_float, _newton_step, _odd_tail, _xp, boost_to_axis
@@ -101,12 +105,14 @@ def _distance_from_origin(xyz: np.ndarray) -> np.ndarray:
     chord = np.hypot(xyz[:, 0], xyz[:, 1])
     az = np.abs(xyz[:, 2])
     out = np.empty(len(xyz))
-    circ = chord * chord <= 1e-28 * az
+    circ = chord <= 1e-14 * np.sqrt(az)
     out[circ] = 2.0 * np.sqrt(math.pi * az[circ])
     rest = ~circ
     if np.any(rest):
         ch = chord[rest]
-        m = az[rest] / (ch * ch)
+        # divide by the chord twice where its square is not a normal float
+        tiny = ch * ch < sys.float_info.min
+        m = az[rest] / np.where(tiny, ch, ch * ch) / np.where(tiny, ch, 1.0)
         phi = _solve_arc_angle(m)
         half = 0.5 * phi
         factor = np.divide(half, np.sin(half), out=np.ones(len(half)), where=phi > 0.0)
@@ -136,14 +142,16 @@ def _distance_fast(xyz: np.ndarray) -> np.ndarray:
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
     chord = np.hypot(xyz[:, 0], xyz[:, 1])
     az = np.abs(xyz[:, 2])
-    circ = chord * chord <= 1e-28 * az
-    safe_chord = np.where(circ, 1.0, chord)
+    # full circles and chords whose square is not a normal float take the
+    # exact path
+    exact = (chord <= 1e-14 * np.sqrt(az)) | (chord * chord < sys.float_info.min)
+    safe_chord = np.where(exact, 1.0, chord)
     m = az / (safe_chord * safe_chord)
     lm_tab, lpsi_tab = _stretch_table()
     lm = np.log(np.maximum(m, 1e-300))
     # below the table log psi is 0 to float precision, as at its first entry
     out = safe_chord * np.exp(np.interp(lm, lm_tab, lpsi_tab))
-    far = np.flatnonzero(circ | (lm > lm_tab[-1]))
+    far = np.flatnonzero(exact | (lm > lm_tab[-1]))
     if len(far):
         out[far] = _distance_from_origin(xyz[far])
     return out
@@ -161,9 +169,9 @@ def sr_distance(p, q) -> float:
     chord, az = float(np.hypot(x, y)), abs(z)
     if z == 0.0:
         return chord
-    if chord * chord <= 1e-28 * az:
+    if chord <= 1e-14 * math.sqrt(az):
         return 2.0 * math.sqrt(math.pi * az)
-    m = az / (chord * chord)
+    m = az / (chord * chord) if chord * chord >= sys.float_info.min else az / chord / chord
     if m > 1e2:
         return chord * _near_circle_factor(m)
     half = 0.5 * _arc_angle(m)
@@ -171,26 +179,14 @@ def sr_distance(p, q) -> float:
 
 
 def box_contains(spec: BoxSpec, p) -> bool:
-    """Coordinatewise membership in Box(r), boundary inclusive (NULL_TOL)."""
+    """Coordinatewise membership in Box(r), boundary inclusive (NULL_TOL).
+
+    p is a point of floats or of arrays (pts.T for an (n, 3) array), answered
+    elementwise.
+    """
     r = spec.r
     x, y, z = p
-    return (
-        abs(x) <= r + NULL_TOL
-        and abs(y) <= r + NULL_TOL
-        and abs(z) <= r * r + NULL_TOL
-    )
-
-
-def _diamond_membership(pts: np.ndarray, a: float, b: float, c: float):
-    # J+(0): x >= 0 and y^2 + 4|z| <= x^2
-    # J-((a,b,c)): same inequalities for the displacement to (a,b,c)
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    fut = (x >= -NULL_TOL) & (y * y + 4.0 * np.abs(z) <= x * x + NULL_TOL)
-    dx = a - x
-    dy = b - y
-    dz = c - z + 0.5 * (a * y - b * x)  # z-component of (-p) * q
-    past = (dx >= -NULL_TOL) & (dy * dy + 4.0 * np.abs(dz) <= dx * dx + NULL_TOL)
-    return fut & past
+    return (abs(x) <= r + NULL_TOL) & (abs(y) <= r + NULL_TOL) & (abs(z) <= r * r + NULL_TOL)
 
 
 def uniform_box(key, lo, hi, n: int) -> np.ndarray:
@@ -262,10 +258,10 @@ def sample_diamond(q, n: int, seed) -> np.ndarray:
     (T, 0, c) and maps back.  Chunk i of FIBRE_CHUNK draws comes from the
     substream (seed, i), so the first k of n points are the k-point sample.
     """
+    if not in_chronological_future(ORIGIN, q):
+        raise ValueError("the diamond J(0, q) has no interior to sample")
     a, b, c = q
     boost, T = boost_to_axis(a, b)
-    if not 4.0 * abs(c) < T * T:
-        raise ValueError("the diamond J(0, q) has no interior to sample")
     out = [np.empty((0, 3))]
     while sum(map(len, out)) < n:
         out.append(fibre_hits(T, c, [seed, len(out) - 1], FIBRE_CHUNK))
@@ -297,11 +293,7 @@ def diamond_in_box_check(p, q, n: int, seed) -> dict:
     report["samples"] = int(len(pts))
     for radius_key in ("box_radius_vertex", "box_radius_distance"):
         r = report[radius_key]
-        bad = (
-            (np.abs(pts[:, 0]) > r + NULL_TOL)
-            | (np.abs(pts[:, 1]) > r + NULL_TOL)
-            | (np.abs(pts[:, 2]) > r * r + NULL_TOL)
-        )
+        bad = ~box_contains(BoxSpec(r), pts.T)
         if np.any(bad):
             report["inclusion_pass"] = False
             report["violations"].append(
@@ -328,7 +320,7 @@ def _boundary_sheet_distance(x, s):
     y = s * h
     z = 0.25 * h * h * (1.0 - s * s) - 0.5 * y
     on = (np.abs(x) <= 1.0) & (np.abs(s) <= 1.0)
-    on &= y * y + 4.0 * np.abs(0.5 * y - z) <= (1.0 - x) ** 2
+    on &= in_causal_future(Event(x, y, z), Event(1.0, 0.0, 0.0))
     return np.where(on, _distance_from_origin(np.column_stack([x, y, z])), np.inf)
 
 

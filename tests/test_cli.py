@@ -167,6 +167,25 @@ def test_usage_errors(capsys):
     assert invoke(capsys, ["iso-solve"])[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tau", "0", "0", "0", "2", "0", "0.5", "--format", "json"],
+        ["diamond-volume", "0", "0", "0", "1", "0", "0", "--format", "json"],
+        ["hausdorff", "--radius", "1", "--delta", "0.4", "--samples", "500", "--format", "csv"],
+        ["diamond-box", "0", "0", "0", "2", "0", "0", "--samples", "10", "--format", "json"],
+        ["curvature-check", "--t", "0.5", "--N", "2", "--format", "json"],
+        ["iso-solve", "2", "0", "0.5", "--seed", "1"],
+        ["tau", "0", "0", "0", "2", "0", "0.5", "--seed", "1"],
+        ["geodesic", "0", "0", "0", "2", "0", "0.5", "--seed", "1"],
+        ["curvature-check", "--t", "0.5", "--N", "2", "--seed", "1"],
+    ],
+)
+def test_options_a_subcommand_ignores_are_usage_errors(capsys, argv):
+    # each subcommand accepts only the options it reads
+    assert invoke(capsys, argv) == (2, "")
+
+
 def test_output_file_and_determinism(tmp_path, capsys):
     path = tmp_path / "report.json"
     argv = [

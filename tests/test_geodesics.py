@@ -169,6 +169,21 @@ def test_tau_matches_param_length():
         assert abs(tau(ORIGIN, exp_point(param, t)) - ell * t) < 1e-11 * ell * t
 
 
+def test_tau_is_zero_within_rounding_of_the_cone():
+    # pairs within rounding of the null boundary, where c/T^2 rounds to +-1/4:
+    # the first passes the chronological predicate, the second only the causal
+    # one.  tau is 0 on both, and log reports the rounded ratio
+    near = [
+        Event(676.6669605390703, -611.8954584837733, 20865.53084302914),
+        Event(1565.9851864023294, -844.1827751465735, -434916.26154434204),
+    ]
+    for q, zt in zip(near, (0.25, -0.25)):
+        assert tau(ORIGIN, q) == 0.0
+        with pytest.raises(NotChronologicalError) as err:
+            log(q)
+        assert err.value.zt == zt and f"c/T^2 = {zt!r}" in str(err.value)
+
+
 @settings(max_examples=100, deadline=None)
 @given(timelike_param, st.floats(0.05, 4.0))
 def test_tau_homogeneous_under_dilation(param, lam):

@@ -23,6 +23,7 @@ from heislor.heisenberg_core import (
     make_curve,
     signed_area,
 )
+from heislor.sr_metric import BoxSpec, box_contains
 
 coord = st.floats(-50.0, 50.0)
 point = st.tuples(coord, coord, coord).map(lambda t: Event(*t))
@@ -176,3 +177,33 @@ def test_lorentzian_length_reverse_triangle_discrete():
     chord = make_curve([0, 1], [[0.0, 0.0], [2.0, 0.4]])
     dogleg = make_curve([0, 0.5, 1], [[0.0, 0.0], [1.0, 0.8], [2.0, 0.4]])
     assert lorentzian_length(dogleg) < lorentzian_length(chord)
+
+
+def test_predicates_on_arrays_match_float_calls():
+    # events near the cone of a random base point, and points near the faces
+    # of a box, at scales 1e-8 to 1e8: the array call of each predicate is
+    # its float call row by row
+    rng = np.random.default_rng(12)
+    n = 400
+    hits = {in_causal_future: 0, in_chronological_future: 0, box_contains: 0}
+    for scale in 10.0 ** np.arange(-8.0, 9.0):
+        p = rng.normal(0.0, scale, (n, 3)) * [1.0, 1.0, scale]
+        a = scale * rng.uniform(0.0, 2.0, n)
+        b = a * rng.choice([-1.0, 1.0], n) * (1.0 - 10.0 ** rng.uniform(-16.0, 0.0, n))
+        b[: n // 8] = a[: n // 8] * (1.0 + rng.uniform(-1e-15, 1e-15, n // 8))
+        edge = 0.25 * (a - b) * (a + b) * (1.0 + rng.uniform(-1e-12, 1e-12, n))
+        r = np.column_stack([a, b, rng.choice([-1.0, 1.0], n) * edge])
+        q = np.column_stack(group_mul(p.T, r.T))
+        for pred in (in_causal_future, in_chronological_future):
+            arr = pred(Event(*p.T), Event(*q.T))
+            one = [pred(Event(*u), Event(*v)) for u, v in zip(p.tolist(), q.tolist())]
+            assert arr.tolist() == one
+            hits[pred] += np.count_nonzero(arr)
+        box = BoxSpec(scale)
+        pts = rng.choice([-1.0, 1.0], (n, 3)) * [scale, scale, scale * scale]
+        pts *= 1.0 + rng.uniform(-1e-13, 1e-13, (n, 3))
+        arr = box_contains(box, pts.T)
+        assert arr.tolist() == [box_contains(box, u) for u in pts.tolist()]
+        hits[box_contains] += np.count_nonzero(arr)
+    # the sweep straddles each boundary
+    assert all(0.1 < k / (17 * n) < 0.9 for k in hits.values()), hits

@@ -15,7 +15,6 @@ from heislor.sr_metric import (
     BoxSpec,
     _arc_angle,
     _boundary_sheet_distance,
-    _diamond_membership,
     _distance_fast,
     _distance_from_origin,
     _inner_radius_minimizer,
@@ -33,6 +32,12 @@ from heislor.sr_metric import (
 
 coord = st.floats(-5.0, 5.0)
 point = st.tuples(coord, coord, coord).map(lambda t: Event(*t))
+
+
+def _in_diamond(pts, p, q):
+    # rows of pts in J(p, q), by the cone predicate on columns
+    P = Event(*pts.T)
+    return in_causal_future(p, P) & in_causal_future(P, q)
 
 
 def test_distance_planar_straight_line():
@@ -141,11 +146,13 @@ def test_distance_left_invariant(g, p, q):
 
 def test_full_circle_test_is_relative():
     # a tiny planar point is a straight segment on every path, and the
-    # distance stays homogeneous far below scale 1e-14
-    tiny = Event(1e-15, 0.0, 0.0)
-    assert sr_distance(ORIGIN, tiny) == 1e-15
-    assert _distance_from_origin(np.array([tiny]))[0] == 1e-15
-    assert _distance_fast(np.array([tiny]))[0] == 1e-15
+    # distance stays homogeneous far below scale 1e-14, also where the
+    # chord's square is subnormal (below 1.5e-154) or 0 (below 1.5e-162)
+    for c in (1e-15, 1e-160, 1e-162, 1e-170, 5e-324):
+        tiny = Event(c, 0.0, 0.0)
+        assert sr_distance(ORIGIN, tiny) == c
+        assert _distance_from_origin(np.array([tiny]))[0] == c
+        assert _distance_fast(np.array([tiny]))[0] == c
     q = Event(1.0, 0.0, 0.1)
     d0 = sr_distance(ORIGIN, q)
     for lam in (1e-12, 1e-14, 1e-16):
@@ -281,7 +288,7 @@ def test_fibre_membership_matches_cone_predicate(q):
     margin = np.minimum.reduce([x - np.abs(y), T - x - np.abs(y), z - lo, lo + length - z])
     clear = np.abs(margin) > 1e-12
     pts = np.column_stack([(np.column_stack([x, y]) @ boost.inverse().mat.T), z])
-    member = _diamond_membership(pts, a, b, c)
+    member = _in_diamond(pts, ORIGIN, q)
     assert np.array_equal((margin > 0.0)[clear], member[clear])
     assert 0.02 < np.mean(member) < 0.98 and np.mean(clear) > 0.999
 
@@ -306,7 +313,7 @@ def test_sample_diamond_uniform(param):
     share = diamond_volume_closed(ORIGIN, m) / diamond_volume_closed(ORIGIN, q)
     n = 40000
     pts = sample_diamond(q, n, seed=8)
-    k = np.count_nonzero(_diamond_membership(pts, *m))
+    k = np.count_nonzero(_in_diamond(pts, ORIGIN, m))
     assert abs(k - n * share) <= 4.0 * math.sqrt(n * share * (1.0 - share))
 
 
@@ -379,8 +386,7 @@ def _unit_diamond_sheets(x, s):
 
 
 def _in_unit_diamond(pts):
-    shifted = np.column_stack([pts[:, 0] + 1.0, pts[:, 1], pts[:, 2] + 0.5 * pts[:, 1]])
-    return _diamond_membership(shifted, 2.0, 0.0, 0.0)
+    return _in_diamond(pts, Event(-1.0, 0.0, 0.0), Event(1.0, 0.0, 0.0))
 
 
 def test_inner_radius_one_sheet_by_symmetry():
