@@ -13,7 +13,6 @@ controlled time separation and sum omega_d * tau^d.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -155,7 +154,6 @@ def _unit_ball_volume() -> float:
 _BALL_SLACK = 1e-9
 
 
-@functools.lru_cache(maxsize=4)
 def _half_ball_points(seed: int, n: int):
     # uniform sample of B(0, 1/2), the set to be covered before dilating by 2:
     # box draws that pass the two necessary bounds above, then the exact
@@ -174,9 +172,7 @@ def _half_ball_points(seed: int, n: int):
         got += len(keep)
         if got >= n:
             break
-    pts = np.concatenate(out)[:n]
-    pts.setflags(write=False)
-    return pts
+    return np.concatenate(out)[:n]
 
 
 # candidates taken per block by the greedy net; sets its peak memory
@@ -238,10 +234,10 @@ _NET_SLACK = 1e-9
 
 
 def _net_keys(x, y, z, delta: float):
-    """(key, toward, offset): each point's key, in the order (cell, zeta),
-    and the search ends of a candidate in its neighbour cells, toward @
-    [key, x, y] + offset, window starts in the first half of the rows and
-    window ends in the second."""
+    """(key, toward, start, end): each point's key, in the order (cell,
+    zeta), and the window of a candidate in each of its nine neighbour
+    cells, from toward @ [key, x, y] + start to toward @ [key, x, y] + end,
+    one cell a row."""
     x0 = float(np.min(x))
     y0 = float(np.min(y))
     span = max(float(np.max(x)) - x0, float(np.max(y)) - y0)
@@ -269,14 +265,8 @@ def _net_keys(x, y, z, delta: float):
     win += 4e-15 * (float(np.max(cell)) + ny + 2) * S
     steps = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
     toward = np.array([[1.0, 0.5 * width * b, -0.5 * width * a] for a, b in steps])
-    offset = np.array([(a * ny + b) * S for a, b in steps])
-    # Where a window spans at least half the zeta range it leaves out little
-    # of a cell.  Then each column of three cells, consecutive in key order,
-    # is searched as one run, from the window in its lowest cell to the window
-    # in its highest; otherwise each cell is searched through its window.
-    lo, hi = ([0, 3, 6], [2, 5, 8]) if 2.0 * win >= zspan else (range(9), range(9))
-    ends = np.concatenate([offset[lo] - win, offset[hi] + win])
-    return key, toward[[*lo, *hi]], ends[:, None]
+    offset = np.array([(a * ny + b) * S for a, b in steps])[:, None]
+    return key, toward, offset - win, offset + win
 
 
 def _net_indices(pts: np.ndarray, delta: float) -> np.ndarray:
@@ -285,8 +275,7 @@ def _net_indices(pts: np.ndarray, delta: float) -> np.ndarray:
     if n == 0:
         return np.empty(0, dtype=np.intp)
     x, y, z = (np.ascontiguousarray(pts[:, i], dtype=float) for i in range(3))
-    key, toward, offset = _net_keys(x, y, z, delta)
-    m = len(offset) // 2
+    key, toward, start, end = _net_keys(x, y, z, delta)
     kept = np.empty(n, dtype=np.intp)
     k = 0
     # the kept points in key order, and their keys
@@ -300,10 +289,10 @@ def _net_indices(pts: np.ndarray, delta: float) -> np.ndarray:
             # so that each run of searches goes up the keys
             order = np.argsort(key[cand])
             c = cand[order]
-            q = toward @ np.stack([key[c], x[c], y[c]]) + offset
-            lo = np.searchsorted(keys, q[:m].ravel(), side="left")
-            cnt = np.searchsorted(keys, q[m:].ravel(), side="right") - lo
-            owner = np.repeat(np.tile(order, m), cnt)
+            q = toward @ np.stack([key[c], x[c], y[c]])
+            lo = np.searchsorted(keys, (q + start).ravel(), side="left")
+            cnt = np.searchsorted(keys, (q + end).ravel(), side="right") - lo
+            owner = np.repeat(np.tile(order, len(toward)), cnt)
             first = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
             partner = ids[np.arange(len(owner)) + first]
             hit = np.zeros(len(cand), dtype=bool)
@@ -353,12 +342,6 @@ def _greedy_net(pts: np.ndarray, delta: float) -> int:
     return len(_net_indices(pts, delta))
 
 
-@functools.lru_cache(maxsize=64)
-def _net_size(seed: int, n_samples: int, delta_round: float) -> int:
-    pts = _half_ball_points(seed, n_samples)
-    return _greedy_net(pts, delta_round)
-
-
 def _cover_sum(d: float, k: int, delta: float) -> float:
     # sum of omega_d tau^d over a net of k points of B(0, 1/2) at scale
     # delta: each net ball inside a diamond of time separation 2 D delta
@@ -375,33 +358,36 @@ def hausdorff_bounds(center, radius, delta, seed, n_samples: int = 100000):
     sum tau^4 >= L^3(B)/K).  Upper: greedy maximal delta-separated net of
     B(center, radius/2), each net ball blown up to a diamond of time
     separation 2 D delta (D = 1/rho), summed with weight omega_4 and dilated
-    by 2 to swallow the full ball.
+    by 2 to swallow the full ball: the d = 4 cover sum of dimension_probe.
     """
-    if not radius > 0:
-        raise ValueError("radius must be positive")
-    if not 0.0 < delta < radius / 2.0:
-        raise ValueError("need 0 < delta < radius/2")
-    if int(n_samples) < 1:
-        raise ValueError("need n_samples >= 1")
-    k = _net_size(int(seed), int(n_samples), round(delta / radius, 12))
-    lower = radius ** 4 * _unit_ball_volume() / UNIT_DIAMOND_VOLUME
-    return lower, _cover_sum(4, k, delta)
+    probe = dimension_probe(center, radius, [4], seed, n_samples, [delta])
+    return probe["lower"], probe["dims"][4.0]["sums"][0]
 
 
 def dimension_probe(center, radius, d_values, seed=0, n_samples: int = 100000, deltas=None) -> dict:
     """Trend of the cover sums sum omega_d tau^d as delta shrinks.
 
     The sums diverge for d < 4, vanish for d > 4 and stabilize at d = 4;
-    the report lists (delta, sum) per trial dimension and a trend tag.
+    the report lists the nets' sizes, hausdorff_bounds' lower bound, and
+    (delta, sum) per trial dimension with a trend tag.  One half-ball sample
+    is drawn, and one net is built per delta, each with 0 < delta < radius/2.
     """
+    if not radius > 0:
+        raise ValueError("radius must be positive")
     if int(n_samples) < 1:
         raise ValueError("need n_samples >= 1")
     if deltas is None:
         deltas = [radius * f for f in (0.4, 0.2, 0.1, 0.05)]
-    sizes = [
-        _net_size(int(seed), int(n_samples), round(d / radius, 12)) for d in deltas
-    ]
-    report = {"deltas": list(map(float, deltas)), "net_sizes": sizes, "dims": {}}
+    if not all(0.0 < d < radius / 2.0 for d in deltas):
+        raise ValueError("need 0 < delta < radius/2")
+    pts = _half_ball_points(int(seed), int(n_samples))
+    sizes = [_greedy_net(pts, round(d / radius, 12)) for d in deltas]
+    report = {
+        "deltas": list(map(float, deltas)),
+        "net_sizes": sizes,
+        "lower": radius ** 4 * _unit_ball_volume() / UNIT_DIAMOND_VOLUME,
+        "dims": {},
+    }
     for d in d_values:
         sums = [_cover_sum(d, k, delta) for k, delta in zip(sizes, deltas)]
         ratios = [s2 / s1 for s1, s2 in zip(sums, sums[1:])]

@@ -28,7 +28,14 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from heislor.heisenberg_core import NULL_TOL, NotChronologicalError, SampledCurve, _causal_defect
+from heislor.heisenberg_core import (
+    NULL_TOL,
+    ORIGIN,
+    NotChronologicalError,
+    SampledCurve,
+    in_causal_future,
+    in_chronological_future,
+)
 
 CASE_EMPTY = "empty"
 CASE_TIMELIKE_LINE = "timelike_line"
@@ -72,21 +79,13 @@ class IsoSolution(NamedTuple):
 
 def classify(prob: IsoProblem) -> str:
     """Feasibility region and solution type for the endpoint/area data."""
-    a, b, c = prob
-    if a <= 0.0:
+    if not in_causal_future(ORIGIN, prob):
         return CASE_EMPTY
-    gap = _causal_defect(prob)
-    if gap > NULL_TOL:
-        return CASE_EMPTY
-    if a - abs(b) <= NULL_TOL:
-        # Null endpoint: the straight null segment is the only causal curve,
-        # and it encloses no area.
-        return CASE_BROKEN_NULL if c == 0.0 else CASE_EMPTY
-    if c == 0.0:
-        return CASE_TIMELIKE_LINE
-    if gap >= -NULL_TOL:
+    # on the cone's boundary the broken null line is the only causal curve;
+    # to a null endpoint it is straight, and its area rounds to 0
+    if not in_chronological_future(ORIGIN, prob):
         return CASE_BROKEN_NULL
-    return CASE_HYPERBOLA
+    return CASE_TIMELIKE_LINE if prob.c == 0.0 else CASE_HYPERBOLA
 
 
 def boost_to_axis(a: float, b: float):

@@ -14,7 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from heislor import measure, sr_metric
+from heislor import sr_metric
 from heislor.curvature import (
     juillet_contradiction,
     midpoint_det_check,
@@ -317,8 +317,6 @@ def test_criterion_10_hausdorff_dimension_probe():
     for cached in (
         sr_metric.unit_diamond_inner_radius,
         sr_metric._stretch_table,
-        measure._half_ball_points,
-        measure._net_size,
     ):
         cached.cache_clear()
     t0 = time.perf_counter()

@@ -4,11 +4,14 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
 import pytest
 
+import heislor
 from heislor.cli import _BALL_BOX_CONSTANT, run
 from heislor.sr_metric import _distance_from_origin
 
@@ -83,6 +86,15 @@ def test_geodesic_csv(capsys):
     assert len(lines) == 12
     last = [float(v) for v in lines[-1].split(",")]
     assert abs(last[1] - 2.0) < 1e-9 and abs(last[3] - 0.5) < 1e-9
+    # a null pair: the broken null line, bending at its middle sample
+    code, out = invoke(
+        capsys, ["geodesic", "0", "0", "0", "2", "0", "1", "--format", "csv", "--samples", "11"]
+    )
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0] == "t,x,y,z" and len(lines) == 12
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert np.allclose(rows[[5, 10], 1:], [(1.0, -1.0, 0.0), (2.0, 0.0, 1.0)], rtol=0.0, atol=1e-12)
 
 
 def test_geodesic_error_exit(capsys):
@@ -165,6 +177,22 @@ def test_hausdorff_rejects_bad_samples(capsys):
 def test_usage_errors(capsys):
     assert invoke(capsys, ["nonsense"])[0] == 2
     assert invoke(capsys, ["iso-solve"])[0] == 2
+
+
+def test_module_entry_point_exit_codes():
+    # python -m heislor.cli, in a process of its own: the exit status is run()'s
+    src = os.path.dirname(os.path.dirname(heislor.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, code, out in (
+        (["tau", "0", "0", "0", "2", "0", "0"], 0, "2.0\n"),
+        (["geodesic", "0", "0", "0", "-1", "0", "0"], 1, ""),
+        (["nonsense"], 2, ""),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "heislor.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (code, out)
 
 
 @pytest.mark.parametrize(

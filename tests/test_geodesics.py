@@ -190,7 +190,18 @@ def test_tau_homogeneous_under_dilation(param, lam):
     q = exp_point(param, 1.0)
     t0 = tau(ORIGIN, q)
     t1 = tau(ORIGIN, dilate(lam, q))
-    assert abs(t1 - lam * t0) <= 1e-10 * lam * t0
+    # Rounding the endpoint (a, b, c) by eps moves T^2 = (a - b)(a + b) by
+    # eps (a + |b|) / (a - |b|) relative, which is e^{|w|} (u + |v|) / (u - |v|)
+    # on exp_point(param, 1), and c/T^2 ~ 1/4 by a quarter of that.  There
+    # 1/4 - R(w) ~ (|w| - 1) e^{-|w|} / 2, so the bending moves by about
+    # 2 e^{|w|} / |w| times as much, and tau by half the bending's move,
+    # relative: eps e^{2|w|} (u + |v|) / (4 |w| (u - |v|)) in all.  For |w| >= 4
+    # that is at most README's estimate eps e^{2|w|} / 16 times the boost
+    # factor, cond below, and each of the two calls contributes it; for
+    # |w| < 4, cond < 2e-12 and the 1e-10 dominates.
+    u, v, w = param
+    cond = math.ulp(1.0) * math.exp(2.0 * abs(w)) / 16.0 * (u + abs(v)) / (u - abs(v))
+    assert abs(t1 - lam * t0) <= (1e-10 + 2.0 * cond) * lam * t0
 
 
 @pytest.mark.parametrize("w", [2.2250738585e-313, 1e-200, 1e-9, -1e-9])
@@ -218,6 +229,28 @@ def test_geodesic_between_null_boundary():
     assert np.allclose(pts[-1], (2.0, 0.0, 1.0), atol=1e-9)
     mid = pts[512]
     assert np.allclose(mid[:2], (1.0, -1.0), atol=1e-9)
+
+
+def test_geodesic_between_null_pairs_from_any_base():
+    # q = p * e for a null e, straight (s, +-s, 0) or broken (T cosh h,
+    # T sinh h, +-T^2/4): p^-1 q rounds off the cone's boundary by a few ulps,
+    # (1, 1, 2.8e-17) for the first pair, and stays a null pair
+    rng = np.random.default_rng(13)
+    pairs = [(Event(0.1, 0.2, 0.3), Event(1.1, 1.2, 0.25))]
+    for i in range(40):
+        p = Event(*rng.normal(0.0, 1.0, 3))
+        sign = rng.choice([-1.0, 1.0])
+        if i % 2:
+            T, h = rng.uniform(0.1, 2.0), rng.uniform(-1.0, 1.0)
+            e = Event(T * math.cosh(h), T * math.sinh(h), sign * T * T / 4.0)
+        else:
+            s = rng.uniform(0.1, 2.0)
+            e = Event(s, sign * s, 0.0)
+        pairs.append((p, group_mul(p, e)))
+    for p, q in pairs:
+        curve = geodesic_between(p, q, n=11)
+        assert not isinstance(curve, Geodesic)
+        assert np.allclose(curve.points[[0, -1]], [p, q], rtol=0.0, atol=1e-12)
 
 
 def test_geodesic_between_errors():

@@ -200,7 +200,7 @@ def test_unit_ball_volume_matches_mpmath_quad():
 def test_hausdorff_upper_is_the_d4_cover_sum():
     deltas = [0.4, 0.2, 0.1]
     rep = dimension_probe(ORIGIN, 1.0, [4], seed=1, n_samples=5000, deltas=deltas)
-    lowers = set()
+    lowers = {rep["lower"]}
     for delta, s4 in zip(deltas, rep["dims"][4.0]["sums"]):
         lower, upper = hausdorff_bounds(ORIGIN, 1.0, delta, seed=1, n_samples=5000)
         assert upper == s4
@@ -333,6 +333,6 @@ def test_blocked_net_duplicates_and_lattice_ties():
     base = np.concatenate([line, col, lattice, np.array(_half_ball_points(0, 600))])
     # every point twice, once next to itself and once far down the order
     pts = np.concatenate([np.repeat(base, 2, axis=0), base[rng.permutation(len(base))]])
-    for order in (np.arange(len(pts)), rng.permutation(len(pts))):
-        p = pts[order]
+    # and an empty sample, which keeps nothing
+    for p in (pts, pts[rng.permutation(len(pts))], pts[:0]):
         assert np.array_equal(_net_indices(p, delta), _sequential_net(p, delta))

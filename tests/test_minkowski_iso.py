@@ -39,6 +39,10 @@ def test_classify_cases():
     # null endpoint: only the zero-area straight null segment exists
     assert classify(IsoProblem(1.0, 1.0, 0.0)) == CASE_BROKEN_NULL
     assert classify(IsoProblem(1.0, 1.0, 0.1)) == CASE_EMPTY
+    # an area within rounding of 0 is 0, as for the causal predicate, and the
+    # zero endpoint is on the cone
+    assert classify(IsoProblem(1.0, 1.0, 2.8e-17)) == CASE_BROKEN_NULL
+    assert classify(IsoProblem(0.0, 0.0, 0.0)) == CASE_BROKEN_NULL
 
 
 def test_boost_to_axis_properties():
@@ -177,9 +181,15 @@ def test_solve_length_equals_tau():
 
 
 def test_solve_timelike_line():
-    sol = solve(IsoProblem(2.0, 1.0, 0.0))
+    prob = IsoProblem(2.0, 1.0, 0.0)
+    sol = solve(prob)
     assert sol.case == CASE_TIMELIKE_LINE
     assert abs(sol.max_length - math.sqrt(3.0)) < 1e-12
+    # sampled: the straight segment to (2, 1), of that length
+    curve = make_curve(*sample_solution(sol, prob, 11))
+    line = np.linspace(0.0, 1.0, 11)[:, None] * [2.0, 1.0]
+    assert np.allclose(curve.points, line, rtol=0.0, atol=1e-15)
+    assert abs(lorentzian_length(curve) - sol.max_length) < 1e-12
 
 
 def test_solve_broken_null_zero_length():
