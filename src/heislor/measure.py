@@ -68,9 +68,12 @@ def diamond_volume_closed(p, q) -> float:
 
 def diamond_volume_mc(p, q, n: int, seed: int) -> VolumeEstimate:
     """Monte Carlo volume of J(p, q): B k / n and its binomial stderr, for k
-    hits of n draws of sr_metric.fibre_hits, B = T^4/16 - c^2, in the frame
-    where the vertex is (T, 0, c).  Deterministic for fixed (seed, n): chunk
-    i comes from the substream (seed, i), and the hits are summed in integers.
+    hits of n draws of sr_metric.fibre_hits in the frame where the vertex is
+    (T, 0, c), and B = sr_metric.envelope_volume(T^2, c) = 2 fibre_max A the
+    volume they fill, A = (eps/2)(1 + ln(T^2/(2 eps))) the area of the
+    strip 2 alpha gamma < eps = T^2/4 - |c| that holds every nonempty fibre.
+    Deterministic for fixed (seed, n): chunk i comes from the substream
+    (seed, i), and the hits are summed in integers.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -78,17 +81,17 @@ def diamond_volume_mc(p, q, n: int, seed: int) -> VolumeEstimate:
     # null and degenerate diamonds, T = 0 or |c| = T^2/4, have no volume
     if not in_chronological_future(ORIGIN, r):
         return VolumeEstimate(0.0, 0.0, n, seed)
+    # the T^2 that the predicate tested, so that eps > 0
     T2 = (r.x - r.y) * (r.x + r.y)
-    T = math.sqrt(T2)
-    box_volume = (0.25 * T2 - r.z) * (0.25 * T2 + r.z)
+    envelope = sr_metric.envelope_volume(T2, r.z)
     chunk = sr_metric.FIBRE_CHUNK
-    hits = sum(
-        len(sr_metric.fibre_hits(T, r.z, [seed, i], min(chunk, n - i * chunk)))
-        for i in range((n + chunk - 1) // chunk)
-    )
+    hits = 0
+    for i in range((n + chunk - 1) // chunk):
+        hit = sr_metric.fibre_hits(T2, r.z, [seed, i], min(chunk, n - i * chunk))[3]
+        hits += int(np.count_nonzero(hit))
     phat = hits / n
-    value = box_volume * phat
-    stderr = box_volume * math.sqrt(phat * (1.0 - phat) / n)
+    value = envelope * phat
+    stderr = envelope * math.sqrt(phat * (1.0 - phat) / n)
     return VolumeEstimate(value, stderr, n, seed)
 
 

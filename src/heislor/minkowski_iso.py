@@ -268,9 +268,9 @@ def solve(prob: IsoProblem) -> IsoSolution:
     a, b, c = prob
     if case == CASE_EMPTY:
         return IsoSolution(case, 0.0, None, None, 0.0)
-    if a - abs(b) <= NULL_TOL:
-        # degenerate null endpoint, c = 0
-        return IsoSolution(CASE_BROKEN_NULL, 0.0, None, None, 0.0)
+    if not a > abs(b):
+        # null endpoint (a broken_null verdict): the straight null segment
+        return IsoSolution(case, 0.0, None, None, 0.0)
     boost, T = boost_to_axis(a, b)
     if case == CASE_TIMELIKE_LINE:
         return IsoSolution(case, T, None, boost, T)

@@ -214,6 +214,20 @@ def uniform_box(key, lo, hi, n: int) -> np.ndarray:
 #   L <= 2 f(1/2, -2c) = Lmax.
 # - s = 0.  f = g and y = 2 (m - c), so L = 2f - |m| =
 #   Lmax - 2 m^2 - (|m| - 4 c m) <= Lmax, with equality only at m = 0.
+#
+# For c >= 0 the fibre is empty off a strip.  Put x = alpha + beta,
+# y = alpha - beta with alpha, beta in [0, T/2], and gamma = T/2 - beta.
+# Then f = alpha beta, g = (T/2 - alpha) gamma and m = c + T (alpha + gamma)/2
+# - T^2/4, so f + g = T (alpha + gamma)/2 - 2 alpha gamma and
+#     L <= f + g - |m| <= f + g - m = eps - 2 alpha gamma,  eps = T^2/4 - c.
+# So L > 0 only on the strip 2 alpha gamma < eps of [0, T/2]^2.  As eps <=
+# T^2/4, its corner a0 = eps/T is at most T/4, and its area is
+#     A = a0 T/2 + int_a0^(T/2) eps/(2 alpha) d alpha = (eps/2)(1 + ln(T^2/(2 eps))),
+# at most 0.85 T^2/4, at c = 0: for every c, draws on the strip keep every
+# hit that draws on the square do, in less area.  The map (alpha, beta) -> (x, y) doubles areas, so
+# the strip times [0, Lmax] has the volume B = 2 Lmax A.  c < 0 is the image
+# of |c| under the automorphism (x, y, z) -> (x, -y, -z), which maps
+# J(0, (T, 0, |c|)) onto J(0, (T, 0, c)).
 
 
 def diamond_fibre(T: float, c: float, x, y):
@@ -226,28 +240,66 @@ def diamond_fibre(T: float, c: float, x, y):
     return lo, np.minimum(np.minimum(2.0 * f, 2.0 * g), f + g - np.abs(m))
 
 
-def fibre_max(T: float, c: float) -> float:
-    """The largest fibre length of J(0, (T, 0, c)), T^2/8 - 2 c^2/T^2."""
-    return 2.0 * (0.25 * T * T - c) * (0.25 * T * T + c) / (T * T)
+def fibre_max(T2: float, c: float) -> float:
+    """The largest fibre length of J(0, (T, 0, c)), T^2/8 - 2 c^2/T^2, for
+    T2 = T^2."""
+    return 2.0 * (0.25 * T2 - c) * (0.25 * T2 + c) / T2
+
+
+def _strip(T2: float, c: float):
+    # (eps, span): eps = T^2/4 - |c| and span = 1 + ln(T^2/(2 eps)), the
+    # strip's area over eps/2.  T2 is the T^2 that the cone predicate tested,
+    # so eps >= NULL_TOL/4 > 0 and span is finite.
+    eps = 0.25 * T2 - abs(c)
+    return eps, 1.0 + math.log(T2 / (2.0 * eps))
+
+
+def envelope_volume(T2: float, c: float) -> float:
+    """The volume B = 2 fibre_max A that fibre_hits' draws fill, A the area
+    of the strip 2 alpha gamma < T^2/4 - |c|; B >= vol J(0, (T, 0, c))."""
+    eps, span = _strip(T2, c)
+    return fibre_max(T2, c) * eps * span
 
 
 # draws per (seed, chunk) substream of fibre_hits' callers
 FIBRE_CHUNK = 1 << 14
 
 
-def fibre_hits(T: float, c: float, key, n: int) -> np.ndarray:
-    """The points of J(0, (T, 0, c)) among n hit-or-miss draws under its fibres.
+def fibre_hits(T2: float, c: float, key, n: int) -> tuple:
+    """n hit-or-miss draws under the fibres of J(0, (T, 0, c)), T^2 = T2.
 
-    (alpha, beta, u) is uniform in [0, T/2]^2 x [0, fibre_max] from the
-    substream default_rng(key); (x, y) = (alpha + beta, alpha - beta) fills
-    the planar diamond, of area T^2/2, and a draw hits, as (x, y, lo + u),
-    when u <= L.  So each draw stands for the volume (T^4/16 - c^2) / n.
+    Returns (x, y, z, hit): the draws as points, and the mask of those in
+    the diamond.  From the substream default_rng(key), for c >= 0,
+    (alpha, gamma) is uniform on the strip 2 alpha gamma < T^2/4 - c of
+    [0, T/2]^2 and u uniform in [0, fibre_max]; a draw is
+    (x, y) = (alpha + beta, alpha - beta), beta = T/2 - gamma, and
+    z = lo + u, and it hits when u <= L.  c < 0 draws |c| and maps the
+    points by (x, y, z) -> (x, -y, -z).  So each draw stands for the volume
+    envelope_volume(T2, c) / n.
     """
-    a, b, u = uniform_box(key, (0.0, 0.0, 0.0), (0.5 * T, 0.5 * T, fibre_max(T, c)), n).T
-    x, y = a + b, a - b
-    lo, length = diamond_fibre(T, c, x, y)
-    hit = u <= length
-    return np.column_stack([x[hit], y[hit], lo[hit] + u[hit]])
+    T = math.sqrt(T2)
+    eps, span = _strip(T2, c)
+    rng = np.random.default_rng(key)
+    t = rng.uniform(0.0, span, n)
+    s = rng.uniform(0.0, 0.5 * T, n)
+    u = rng.uniform(0.0, fibre_max(T2, c), n)
+    # alpha's marginal density is constant up to a0 = eps/T and eps/(2 alpha)
+    # after: alpha = a0 t for t <= 1 and a0 e^(t - 1) above, where gamma's
+    # range [0, eps/(2 alpha)] is [0, (T/2) e^(1 - t)].  In place, to keep a
+    # chunk's temporaries few.
+    e = np.exp(np.minimum(1.0 - t, 0.0))
+    a = np.minimum(t, 1.0, out=t)
+    a *= eps / T
+    a /= e
+    b = np.multiply(s, e, out=s)
+    np.subtract(0.5 * T, b, out=b)
+    x, y = a + b, np.subtract(a, b, out=a)
+    lo, length = diamond_fibre(T, abs(c), x, y)
+    z = np.add(lo, u, out=lo)
+    if c < 0.0:
+        np.negative(y, out=y)
+        np.negative(z, out=z)
+    return x, y, z, u <= length
 
 
 def sample_diamond(q, n: int, seed) -> np.ndarray:
@@ -261,10 +313,12 @@ def sample_diamond(q, n: int, seed) -> np.ndarray:
     if not in_chronological_future(ORIGIN, q):
         raise ValueError("the diamond J(0, q) has no interior to sample")
     a, b, c = q
-    boost, T = boost_to_axis(a, b)
+    boost, _ = boost_to_axis(a, b)
+    T2 = (a - b) * (a + b)
     out = [np.empty((0, 3))]
     while sum(map(len, out)) < n:
-        out.append(fibre_hits(T, c, [seed, len(out) - 1], FIBRE_CHUNK))
+        x, y, z, hit = fibre_hits(T2, c, [seed, len(out) - 1], FIBRE_CHUNK)
+        out.append(np.column_stack([x[hit], y[hit], z[hit]]))
     x, y, z = np.concatenate(out)[:n].T
     # elementwise, not a matmul, whose rounding may depend on n
     (m00, m01), (m10, m11) = boost.inverse().mat

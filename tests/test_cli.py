@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import heislor
+from heislor import sr_metric
 from heislor.cli import _BALL_BOX_CONSTANT, run
 from heislor.sr_metric import _distance_from_origin
 
@@ -225,6 +226,33 @@ def test_output_file_and_determinism(tmp_path, capsys):
     assert run(argv) == 0
     assert path.read_bytes() == first
     capsys.readouterr()
+
+
+def test_near_null_draws_are_bounded(capsys, monkeypatch):
+    # at 1/4 - c/T^2 = 1e-8 the fibre strip keeps about 0.45 of the draws:
+    # a thousand points take one chunk of draws, and a million volume draws
+    # take their ceil(1e6 / FIBRE_CHUNK) chunks, with hits
+    calls = []
+    draw = sr_metric.fibre_hits
+
+    def counted(*args):
+        calls.append(args)
+        if len(calls) > limit:
+            raise RuntimeError(f"more than {limit} calls of fibre_hits")
+        return draw(*args)
+
+    monkeypatch.setattr(sr_metric, "fibre_hits", counted)
+    limit = 50
+    argv = ["diamond-box", "0", "0", "0", "1", "0", "0.24999999", "--samples", "1000"]
+    code, out = invoke(capsys, argv)
+    assert code == 0 and json.loads(out)["samples"] == 1000
+    calls.clear()
+    limit = -(-1000000 // sr_metric.FIBRE_CHUNK)
+    argv = ["diamond-volume", "0", "0", "0", "1", "0", "0.24999999", "--mc", "1000000"]
+    code, out = invoke(capsys, argv)
+    payload = json.loads(out)
+    assert code == 0 and len(calls) == limit and payload["stderr"] > 0.0
+    assert abs(payload["mc"] - payload["closed"]) <= 6.0 * payload["stderr"]
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")

@@ -118,17 +118,35 @@ def test_mc_degenerate_cases():
 
 @pytest.mark.parametrize("q", [Event(1.0, 0.0, 0.0), Event(2.1, 0.6, 0.4), Event(1.5, -0.4, -0.45)])
 def test_mc_is_hit_or_miss(q):
-    # B k / n for a whole number k of hits, B = T^4/16 - c^2 the volume the
-    # draws fill, no less than the diamond's, and the binomial stderr
+    # B k / n for a whole number k of hits, B the volume the draws fill, no
+    # less than the diamond's, and the binomial stderr.  The draws fill the
+    # height T^2/8 - 2 c^2/T^2 over the strip 2 alpha gamma < eps =
+    # T^2/4 - |c| of [0, T/2]^2, of area A = (eps/2)(1 + ln(T^2/(2 eps))),
+    # which (alpha, beta) -> (x, y) doubles; less than the height over the
+    # whole planar diamond, T^4/16 - c^2
     n = 100003
     est = diamond_volume_mc(ORIGIN, q, n, seed=2)
     T2 = (q.x - q.y) * (q.x + q.y)
-    B = T2 * T2 / 16.0 - q.z * q.z
+    eps = T2 / 4.0 - abs(q.z)
+    A = 0.5 * eps * (1.0 + math.log(T2 / (2.0 * eps)))
+    B = 2.0 * (T2 / 8.0 - 2.0 * q.z * q.z / T2) * A
     k = est.value * n / B
     assert abs(k - round(k)) <= 1e-9 * k and 0 < round(k) < n
-    assert B >= diamond_volume_closed(ORIGIN, q)
+    assert diamond_volume_closed(ORIGIN, q) <= B < T2 * T2 / 16.0 - q.z * q.z
     phat = round(k) / n
     assert math.isclose(est.stderr, B * math.sqrt(phat * (1.0 - phat) / n), rel_tol=1e-12)
+
+
+def test_mc_near_null_at_scale():
+    # 1/4 - c/T^2 = 1e-9 at T = 1e6, both signs: a finite estimate within 6
+    # stderr of the closed form
+    T = 1e6
+    for c in (0.25 * T * T - 1e3, 1e3 - 0.25 * T * T):
+        q = Event(T, 0.0, c)
+        est = diamond_volume_mc(ORIGIN, q, 200000, seed=4)
+        closed = diamond_volume_closed(ORIGIN, q)
+        assert math.isfinite(est.value) and est.stderr > 0.0
+        assert abs(est.value - closed) <= 6.0 * est.stderr
 
 
 def test_unit_separation_volume_frozen_values():

@@ -204,6 +204,17 @@ def test_solve_empty_and_null_endpoint():
     assert sol.case == CASE_BROKEN_NULL and sol.max_length == 0.0
 
 
+def test_solve_follows_classify_near_a_null_endpoint():
+    # a - |b| = 9e-13 is below NULL_TOL, but the predicate calls the endpoint
+    # chronological: solve takes classify's hyperbola, of tau's length
+    a, b, c = 1.0, 0.9999999999991, 1e-13
+    sol = solve(IsoProblem(a, b, c))
+    assert classify(IsoProblem(a, b, c)) == sol.case == CASE_HYPERBOLA
+    assert sol.max_length == tau(ORIGIN, Event(a, b, c)) > 0.0
+    sol = solve(IsoProblem(0.0, 0.0, 0.0))
+    assert sol.case == CASE_BROKEN_NULL and sol.boost is None and sol.max_length == 0.0
+
+
 def test_solve_hyperbola_length_between_extremes():
     sol = solve(IsoProblem(2.0, 0.0, 0.5))
     assert sol.case == CASE_HYPERBOLA

@@ -264,12 +264,36 @@ def test_fibre_max_bounds_every_fibre():
     a, b = (v.ravel() for v in np.meshgrid(g, g))
     for zt in np.concatenate([np.linspace(-0.249, 0.249, 41), [-0.25 + 1e-9, 0.25 - 1e-9]]):
         c = zt * T * T
-        top = fibre_max(T, c)
+        top = fibre_max(T * T, c)
         assert abs(top - (T * T / 8.0 - 2.0 * c * c / (T * T))) <= 1e-15 * T * T
         length = diamond_fibre(T, c, a + b, a - b)[1]
         assert np.max(length) <= top + 1e-15 * T * T
         at = diamond_fibre(T, c, 0.5 * T, -2.0 * c / T)[1]
         assert abs(at - top) <= 1e-15 * T * T
+
+
+def test_nonempty_fibres_lie_in_the_strip():
+    # for c/T^2 of both signs up to 1e-9 from the null ends, every fibre of
+    # positive length over a grid of [0, T/2]^2, and every draw of
+    # fibre_hits, lies in the strip 2 alpha gamma < eps = T^2/4 - |c|,
+    # (x, y) = (alpha + beta, alpha - beta), gamma = T/2 - beta, with alpha
+    # and beta swapped for c < 0.  The grid is graded towards both ends, where
+    # the strip is thin near null.
+    T = 1.7
+    ends = np.concatenate([[0.0], np.logspace(-12.0, 0.0, 200)])
+    g = 0.5 * T * np.unique(np.concatenate([ends, 1.0 - ends]))
+    a, b = (v.ravel() for v in np.meshgrid(g, g))
+    for zt in np.concatenate([np.linspace(-0.249, 0.249, 41), [-0.25 + 1e-9, 0.25 - 1e-9]]):
+        c = zt * T * T
+        eps = 0.25 * T * T - abs(c)
+        length = diamond_fibre(T, c, a + b, a - b)[1]
+        al, be = (a, b) if c >= 0.0 else (b, a)
+        strip = 2.0 * al * (0.5 * T - be) < eps + 1e-15 * T * T
+        assert np.any(length > 0.0) and np.all(strip[length > 0.0])
+        x, y, _, hit = sr_metric.fibre_hits(T * T, c, [3, 0], 4096)
+        al, be = (0.5 * (x + y), 0.5 * (x - y))[:: 1 if c >= 0.0 else -1]
+        assert np.all(2.0 * al * (0.5 * T - be) < eps + 1e-15 * T * T)
+        assert np.all(np.abs(y) <= np.minimum(x, T - x) + 1e-15 * T) and np.any(hit)
 
 
 @pytest.mark.parametrize("q", [Event(1.3, 0.0, 0.2), Event(2.0, 0.7, -0.3)])
@@ -301,10 +325,13 @@ def test_sample_diamond_prefix_stable():
         assert np.array_equal(pts[:k], sample_diamond(q, k, seed=6))
 
 
-@pytest.mark.parametrize("param", [(1.0, 0.0, 0.0), (1.2, 0.4, 2.5), (0.8, -0.5, -3.9)])
+@pytest.mark.parametrize(
+    "param", [(1.0, 0.0, 0.0), (1.2, 0.4, 2.5), (0.8, -0.5, -3.9), (1.0, 0.2, 9.0)]
+)
 def test_sample_diamond_uniform(param):
     # the share of points in the sub-diamond J(0, m), m the geodesic
-    # midpoint, is its share of the volume within 4 binomial sigmas
+    # midpoint, is its share of the volume within 4 binomial sigmas; the
+    # last diamond is near null, 1/4 - c/T^2 = 4.9e-4
     from heislor.geodesics import GeoParam, exp_point
     from heislor.measure import diamond_volume_closed
 
