@@ -18,8 +18,6 @@ import numpy as np
 from heislor import geodesics
 from heislor.heisenberg_core import Event
 
-INF_N = math.inf
-
 
 class DistortionArgs(NamedTuple):
     K: float

@@ -184,14 +184,14 @@ _NET_BLOCK = 512
 
 def _net_conflicts(x, y, z, ci, ki, delta: float) -> np.ndarray:
     # the net's pair test for candidates ci against earlier points ki (index
-    # arrays into the coordinate columns): chord <= delta, then the
-    # interpolated CC distance of the group displacement k^-1 c <= delta, as
-    # for the left-invariant sr_distance(k, c).  A horizontal curve that
-    # encloses the area |z| with its chord is at least sqrt(2 pi |z|) long
-    # (Dido's semicircle, as for _half_ball_points), so a pair with
-    # pi |z| > delta^2 is more than sqrt(2) delta apart and fails the
-    # distance test however the interpolation rounds; those pairs skip
-    # _distance_fast.
+    # arrays into the coordinate columns), returning the positions of the
+    # pairs within delta: chord <= delta, then the interpolated CC distance
+    # of the group displacement k^-1 c <= delta, as for the left-invariant
+    # sr_distance(k, c).  A horizontal curve that encloses the area |z| with
+    # its chord is at least sqrt(2 pi |z|) long (Dido's semicircle, as for
+    # _half_ball_points), so a pair with pi |z| > delta^2 is more than
+    # sqrt(2) delta apart and fails the distance test however the
+    # interpolation rounds; those pairs skip _distance_fast.
     cx = x[ci]
     cy = y[ci]
     kx = x[ki]
@@ -206,15 +206,15 @@ def _net_conflicts(x, y, z, ci, ki, delta: float) -> np.ndarray:
     small = np.flatnonzero(math.pi * np.abs(zrel) <= delta * delta)
     near = near[small]
     rel = np.column_stack([dx[near], dy[near], zrel[small]])
-    out = np.zeros(len(ci), dtype=bool)
-    out[near] = sr_metric._distance_fast(rel) <= delta
-    return out
+    return near[sr_metric._distance_fast(rel) <= delta]
 
 
-# The kept points' index.  Let K = (X, Y, 0) be the centre of a planar cell and
+# The net's index.  Let K = (X, Y, 0) be the centre of a planar cell and
 # zeta^K(p) = z + (x Y - X y)/2 the z of K^-1 p, the area coordinate of p in
-# the frame of K; a kept point k is filed in its own cell K under zeta_k =
-# zeta^K(k).  For a candidate c, d = c - k in the plane and u = k - K,
+# the frame of K; a point k is filed in its own cell K under zeta_k =
+# zeta^K(k).  The kept points are filed so, and so are a block's survivors,
+# which are searched against each other through the same windows.  For a
+# candidate c, d = c - k in the plane and u = k - K,
 #
 #     zrel = z_c - z_k + (x_c y_k - x_k y_c)/2 = zeta^K(c) - zeta_k + (d x u)/2,
 #
@@ -231,8 +231,9 @@ def _net_conflicts(x, y, z, ci, ki, delta: float) -> np.ndarray:
 # largest |z| + r^2 (r the largest planar coordinate or cell centre), which
 # bounds each term of zeta and zrel, for their rounding.  So every pair the
 # area test passes lies in the window, and the same pairs reach
-# _distance_fast as without it.  (A pair within delta has |zrel| <= delta^2
-# / (2 pi), half the area bound, so the slack never decides the net itself.)
+# _distance_fast as in a test of all pairs.  (A pair within delta has |zrel|
+# <= delta^2 / (2 pi), half the area bound, so the slack never decides the
+# net itself.)
 _NET_SLACK = 1e-9
 
 
@@ -279,45 +280,45 @@ def _net_indices(pts: np.ndarray, delta: float) -> np.ndarray:
         return np.empty(0, dtype=np.intp)
     x, y, z = (np.ascontiguousarray(pts[:, i], dtype=float) for i in range(3))
     key, toward, start, end = _net_keys(x, y, z, delta)
-    kept = np.empty(n, dtype=np.intp)
-    k = 0
+
+    def clashes(cand, ids, keys):
+        # the (owner, partner) pairs that _net_conflicts finds between the
+        # candidates cand, in key order, and the points ids, filed under
+        # their ascending keys, whose partner comes earlier in sample order:
+        # the nine windows of each candidate, searched in key order so that
+        # each run of searches goes up the keys
+        q = toward @ np.stack([key[cand], x[cand], y[cand]])
+        lo = np.searchsorted(keys, (q + start).ravel(), side="left")
+        cnt = np.searchsorted(keys, (q + end).ravel(), side="right") - lo
+        owner = np.repeat(np.tile(cand, len(toward)), cnt)
+        partner = ids[np.arange(len(owner)) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)]
+        earlier = partner < owner
+        owner = owner[earlier]
+        partner = partner[earlier]
+        clash = _net_conflicts(x, y, z, owner, partner, delta)
+        return owner[clash], partner[clash]
+
     # the kept points in key order, and their keys
     ids = np.empty(0, dtype=np.intp)
     keys = np.empty(0)
+    dropped = np.zeros(n, dtype=bool)
     for b0 in range(0, n, _NET_BLOCK):
         cand = np.arange(b0, min(n, b0 + _NET_BLOCK))
-        if k:
-            # the block against the points kept before it, through the
-            # windows; the candidates in key order and the ends row by row,
-            # so that each run of searches goes up the keys
-            order = np.argsort(key[cand])
-            c = cand[order]
-            q = toward @ np.stack([key[c], x[c], y[c]])
-            lo = np.searchsorted(keys, (q + start).ravel(), side="left")
-            cnt = np.searchsorted(keys, (q + end).ravel(), side="right") - lo
-            owner = np.repeat(np.tile(order, len(toward)), cnt)
-            first = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
-            partner = ids[np.arange(len(owner)) + first]
-            hit = np.zeros(len(cand), dtype=bool)
-            hit[owner[_net_conflicts(x, y, z, cand[owner], partner, delta)]] = True
-            cand = cand[~hit]
-        # the survivors against each other, greedy in sample order
-        keep = np.ones(len(cand), dtype=bool)
-        if len(cand) > 1:
-            later, earlier = np.tril_indices(len(cand), -1)
-            clash = _net_conflicts(x, y, z, cand[later], cand[earlier], delta)
-            for i, j in zip(later[clash].tolist(), earlier[clash].tolist()):
-                if keep[j]:
-                    keep[i] = False
-        new = cand[keep]
-        kept[k:k + len(new)] = new
-        k += len(new)
-        if len(new):
-            new = new[np.argsort(key[new])]
-            at = np.searchsorted(keys, key[new])
-            keys = np.insert(keys, at, key[new])
-            ids = np.insert(ids, at, new)
-    return kept[:k]
+        cand = cand[np.argsort(key[cand])]
+        # the block against the points kept before it, then the survivors
+        # against each other, greedy in sample order
+        dropped[clashes(cand, ids, keys)[0]] = True
+        cand = cand[~dropped[cand]]
+        owner, partner = clashes(cand, cand, key[cand])
+        order = np.argsort(owner)
+        for i, j in zip(owner[order].tolist(), partner[order].tolist()):
+            if not dropped[j]:
+                dropped[i] = True
+        new = cand[~dropped[cand]]
+        at = np.searchsorted(keys, key[new])
+        keys = np.insert(keys, at, key[new])
+        ids = np.insert(ids, at, new)
+    return np.sort(ids)
 
 
 def _greedy_net(pts: np.ndarray, delta: float) -> int:
@@ -326,21 +327,21 @@ def _greedy_net(pts: np.ndarray, delta: float) -> int:
     A point is kept unless an earlier kept point lies within delta of it: the
     chord to it is at most delta, and the interpolated CC distance of the
     group displacement to it is at most delta.  Candidates are taken in
-    blocks of _NET_BLOCK.  A block is first tested, vectorized, against the
-    points kept before it.  Those are found through a planar grid of cells
+    blocks of _NET_BLOCK.  Pairs are found through a planar grid of cells
     slightly wider than delta: the chord is a lower bound for the CC distance,
-    so a conflicting kept point lies in the candidate's cell or one of its
+    so a conflicting earlier point lies in the candidate's cell or one of its
     eight neighbours, and the extra width absorbs the rounding of the cell
-    index at the cell edges.  Within a cell the kept points are sorted by
-    zeta, the z of the point in the frame of the cell's centre, and only
-    those whose zeta is within delta^2 / pi + delta w / (2 sqrt 2) of the
-    candidate's (w the cell width), plus rounding slack, are tested: the
-    others enclose too much area with the candidate to be within delta.  The
-    survivors of the block are then resolved against each other by a
-    sequential greedy over their conflicting pairs.  The pairs the grid and
-    the window skip, and those _net_conflicts rules out by enclosed area,
-    fail the test anyway, so the net is the one a point-by-point greedy
-    gives.
+    index at the cell edges.  Within a cell the points are filed by zeta, the
+    z of the point in the frame of the cell's centre, and only those whose
+    zeta is within delta^2 / pi + delta w / (2 sqrt 2) of the candidate's (w
+    the cell width), plus rounding slack, are tested: the others enclose too
+    much area with the candidate to be within delta.  A block is searched so,
+    vectorized, against the points kept before it, and its survivors are
+    filed and searched so against each other; a sequential greedy over those
+    conflicting pairs, in sample order, settles which survivors are kept.
+    The pairs the grid and the window skip, and those _net_conflicts rules
+    out by enclosed area, fail the test anyway, so the net is the one a
+    point-by-point greedy gives.
     """
     return len(_net_indices(pts, delta))
 

@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from heislor import measure
 from heislor.heisenberg_core import ORIGIN, Event, dilate, group_mul
 from heislor.measure import (
     UNIT_DIAMOND_VOLUME,
@@ -269,6 +270,23 @@ def test_blocked_net_matches_sequential_greedy(delta):
     got = _net_indices(pts, delta)
     assert np.array_equal(got, _sequential_net(pts, delta))
     assert _greedy_net(pts, delta) == len(got)
+
+
+def test_block_survivors_are_searched_through_the_windows(monkeypatch):
+    # a first block of 512 points has 512 * 511 / 2 = 130,816 pairs; at
+    # delta = 0.05 the windows hand _net_conflicts fewer than 1 % of them
+    sent = []
+    test = measure._net_conflicts
+
+    def counted(x, y, z, ci, ki, delta):
+        sent.append(len(ci))
+        return test(x, y, z, ci, ki, delta)
+
+    monkeypatch.setattr(measure, "_net_conflicts", counted)
+    pts = np.array(_half_ball_points(0, 512))
+    got = _net_indices(pts, 0.05)
+    assert sum(sent) < 0.01 * 130816
+    assert np.array_equal(got, _sequential_net(pts, 0.05))
 
 
 @pytest.mark.parametrize("move", ["translated", "dilated"])
