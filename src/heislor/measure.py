@@ -298,7 +298,7 @@ def _net_indices(pts: np.ndarray, delta: float) -> np.ndarray:
         clash = _net_conflicts(x, y, z, owner, partner, delta)
         return owner[clash], partner[clash]
 
-    # the kept points in key order, and their keys
+    # the kept points in key order, their keys, and the points dropped
     ids = np.empty(0, dtype=np.intp)
     keys = np.empty(0)
     dropped = np.zeros(n, dtype=bool)
