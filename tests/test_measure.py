@@ -23,7 +23,7 @@ from heislor.measure import (
     growth_ratio_scan,
     hausdorff_bounds,
 )
-from heislor.sr_metric import _distance_fast, _distance_from_origin, sr_distance, uniform_box
+from heislor.sr_metric import _distance_from_origin, _solve_arc_angle, sr_distance, uniform_box
 
 
 def test_unit_constant():
@@ -244,23 +244,30 @@ def test_dimension_probe_trends_small():
 
 def _sequential_net(pts, delta):
     # point-by-point greedy in sample order with the net's pair test: chord
-    # <= delta, then the interpolated distance of the displacement k^-1 c
-    # from each kept point k <= delta
+    # <= delta, then the exact distance of the displacement k^-1 c from each
+    # kept point k <= delta.  The pairs of a run of 256 candidates with the
+    # points kept before it and with each other are tested in one call.
     kept = []
-    for i, (cx, cy, cz) in enumerate(pts):
-        if kept:
-            k = pts[kept]
-            dx = cx - k[:, 0]
-            dy = cy - k[:, 1]
-            near = dx * dx + dy * dy <= delta * delta
-            if np.any(near):
-                xk = k[near, 0]
-                yk = k[near, 1]
-                zrel = cz - k[near, 2] + 0.5 * (cx * yk - xk * cy)
-                rel = np.column_stack([dx[near], dy[near], zrel])
-                if np.any(_distance_fast(rel) <= delta):
-                    continue
-        kept.append(i)
+    for b0 in range(0, len(pts), 256):
+        run = np.arange(b0, min(len(pts), b0 + 256))
+        c, k = (a.ravel() for a in np.meshgrid(run, np.array(kept + run.tolist(), dtype=np.intp)))
+        c, k = c[k < c], k[k < c]
+        cx, cy, cz = pts[c].T
+        kx, ky, kz = pts[k].T
+        dx = cx - kx
+        dy = cy - ky
+        near = dx * dx + dy * dy <= delta * delta
+        zrel = cz[near] - kz[near] + 0.5 * (cx[near] * ky[near] - kx[near] * cy[near])
+        rel = np.column_stack([dx[near], dy[near], zrel])
+        within = _distance_from_origin(rel) <= delta
+        partners = {}
+        for i, j in zip(c[near][within].tolist(), k[near][within].tolist()):
+            partners.setdefault(i, []).append(j)
+        kept_set = set(kept)
+        for i in run.tolist():
+            if not any(j in kept_set for j in partners.get(i, ())):
+                kept.append(i)
+                kept_set.add(i)
     return np.array(kept, dtype=np.intp)
 
 
@@ -329,6 +336,70 @@ def test_half_ball_pretest_bounds_are_attained():
     ends = [(0.5, 0.0), (1.0 / math.pi, 1.0 / (8.0 * math.pi))]
     pts = np.array([(c * np.cos(t), c * np.sin(t), z) for c, z in ends for t in theta])
     assert np.allclose(_distance_from_origin(pts), 0.5, rtol=1e-15, atol=0.0)
+
+
+def _arc_ratio_and_stretch(h, ctx=mp):
+    # m = |z| / chord^2 and H = (d / chord)^2 - 1 of the arc of half-turn h
+    s = ctx.sin(h)
+    return (2 * h - ctx.sin(2 * h)) / (8 * s * s), (h / s) ** 2 - 1
+
+
+def _dido_bound(m, k, ctx=mp):
+    return 12 * m * m / ctx.sqrt(1 + k * m * m)
+
+
+def test_two_sided_dido_bound_at_50_digits():
+    # 12 m^2 / sqrt(1 + 6 m^2) < H < 12 m^2 / sqrt(1 + 0.9 m^2), the bounds
+    # of measure._ball_test, over h in (0, pi), dense at both ends
+    with mp.workdps(50):
+        ends = [mp.mpf(10) ** e for e in np.linspace(-10.0, 0.0, 201)]
+        hs = ends + [mp.pi - e for e in ends] + [mp.pi * k / 1000 for k in range(1, 1000)]
+        for h in hs:
+            m, H = _arc_ratio_and_stretch(h)
+            assert _dido_bound(m, 6) < H < _dido_bound(m, 0.9), h
+
+
+def test_two_sided_dido_bound_in_interval_arithmetic():
+    # A proof of both bounds for h in [0.2, pi - 1e-3].  m and H increase
+    # with h, and both bounds increase with m, so on a cell [h1, h2]
+    # H(h2) <= bound(m(h1), 0.9) and H(h1) >= bound(m(h2), 6) prove them.
+    # The cell ends are floats, evaluated in interval arithmetic; cells grow
+    # while they pass and halve when they do not.
+    iv = mp.iv
+
+    def at(h):
+        return _arc_ratio_and_stretch(iv.mpf(h), iv)
+
+    h1, end, step, cells = 0.2, math.pi - 1e-3, 1e-3, 0
+    m1, H1 = at(h1)
+    while h1 < end:
+        h2 = min(h1 + step, end)
+        m2, H2 = at(h2)
+        if H2.b <= _dido_bound(m1, 0.9, iv).a and H1.a >= _dido_bound(m2, 6, iv).b:
+            h1, m1, H1, step, cells = h2, m2, H2, 1.5 * step, cells + 1
+        else:
+            step *= 0.5
+            assert step > 1e-9, h1
+    assert cells > 100
+
+
+def test_net_conflicts_decide_knife_edge_pairs_exactly():
+    # pairs at exact distance delta (1 -+ 1e-10) from a point at the origin,
+    # m = |z| / chord^2 over logspace(-6, 2), in turning directions and both
+    # signs of z: each first one clashes and each second one does not
+    delta = 0.1
+    rows = [[0.0, 0.0, 0.0]]
+    with mp.workdps(40):
+        for i, m in enumerate(np.logspace(-6.0, 2.0, 161)):
+            start = 0.5 * float(_solve_arc_angle(m))
+            h = mp.findroot(lambda h: _arc_ratio_and_stretch(h)[0] - m, start)
+            for side in (-1, 1):
+                c = delta * (1 + side * mp.mpf(10) ** -10) * mp.sin(h) / h
+                rows.append([c * mp.cos(i), c * mp.sin(i), (-1) ** i * m * c * c])
+    x, y, z = (np.array([float(r[j]) for r in rows]) for j in range(3))
+    ci = np.arange(1, len(rows))
+    got = measure._net_conflicts(x, y, z, ci, np.zeros_like(ci), delta)
+    assert np.array_equal(got, np.arange(0, len(ci), 2))
 
 
 def test_net_pair_test_is_left_invariant():
