@@ -254,9 +254,10 @@ def _net_conflicts(x, y, z, ci, ki, delta: float) -> np.ndarray:
 #     zrel = z_c - z_k + (x_c y_k - x_k y_c)/2 = zeta^K(c) - zeta_k + (d x u)/2,
 #
 # where zrel is the z of the displacement k^-1 c that _net_conflicts forms
-# and d x u = d_x u_y - d_y u_x.  A pair passes _net_conflicts' chord and
-# area tests only if |d| <= delta and 2 pi |zrel| <= delta^2 (1 + s), s =
-# _BALL_SLACK, and |u| <= w / sqrt(2) for cells of width w, so then
+# and d x u = d_x u_y - d_y u_x.  _net_conflicts can find a pair within
+# delta only if |d| <= delta (its chord test) and 2 pi |zrel| <= delta^2
+# (1 + s), s = _BALL_SLACK (Dido's semicircle in _ball_test), and |u| <= w /
+# sqrt(2) for cells of width w, so then
 #
 #     |zeta^K(c) - zeta_k| <= delta^2 (1 + s) / (2 pi) + delta w / (2 sqrt(2)).
 #
@@ -265,10 +266,10 @@ def _net_conflicts(x, y, z, ci, ki, delta: float) -> np.ndarray:
 # of the cell index, which can put k a hair outside its cell, plus 1e-12 of
 # the largest |z| + r^2 (r the largest planar coordinate or cell centre),
 # which bounds each term of zeta and zrel, for their rounding.  So every pair
-# the area test passes lies in the window, and the same pairs pass it as in
-# a test of all pairs.  (A pair whose exact distance is within delta has 2 pi
-# |zrel| <= delta^2 (1 + 1e-13), far inside the area test, so the slack never
-# decides the net itself.)
+# that can be within delta lies in the window, and the net is the one a test
+# of all pairs gives.  (A pair whose exact distance is within delta has
+# 2 pi |zrel| <= delta^2 (1 + 1e-13), far inside the area bound, so the slack
+# never decides the net itself.)
 _NET_SLACK = 1e-9
 
 
