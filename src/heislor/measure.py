@@ -162,7 +162,8 @@ def _unit_ball_volume() -> float:
 # At both ends the margins are strict: as m -> 0, H = 12 m^2 - 28.8 m^4 +
 # O(m^6), against 12 m^2 - 36 m^4 below and 12 m^2 - 5.4 m^4 above; as
 # m -> oo, H ~ 4 pi m, against 4.90 m and 12.65 m.  tests/test_measure.py
-# proves both bounds on h in [0.2, pi - 1e-3] in interval arithmetic, and
+# proves both bounds for every h in (0, pi) in interval arithmetic (below
+# h = 1.5 through the series of the terms, whose leading parts cancel), and
 # samples them at 50 digits to within 1e-10 of either end.  As c^2 H lies
 # between 12 z^2 / sqrt(c^4 + k z^2) for k = 6 and k = 0.9, with
 # C = c^2 / rho^2, A = |z| / rho^2 and s = _BALL_SLACK,

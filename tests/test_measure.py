@@ -360,27 +360,65 @@ def test_two_sided_dido_bound_at_50_digits():
 
 
 def test_two_sided_dido_bound_in_interval_arithmetic():
-    # A proof of both bounds for h in [0.2, pi - 1e-3].  m and H increase
-    # with h, and both bounds increase with m, so on a cell [h1, h2]
-    # H(h2) <= bound(m(h1), 0.9) and H(h1) >= bound(m(h2), 6) prove them.
-    # The cell ends are floats, evaluated in interval arithmetic; cells grow
-    # while they pass and halve when they do not.
+    # A proof of both bounds for every h in (0, pi).  As m, H > 0 they say
+    # 0.9 <= K <= 6, K = (144 m^4 / H^2 - 1) / m^2.  With s = sin h, N = 2h -
+    # sin 2h = 8 m s^2 and D = h^2 - s^2 = H s^2, K = (9/4) N^2 / D^2 -
+    # 64 s^4 / N^2, which interval arithmetic encloses tightly on [1.5, pi].
+    # Below, both terms grow like 36 / h^2 and cancel.  There, with t =
+    # (2h)^2, N = (2h)^3 sig(t), 2 s^2 = (2h)^2 gam(t) and 2 D = (2h)^4 eps(t)
+    # for sig = sum (-t)^j / (2j + 3)!, gam = sum (-t)^j / (2j + 2)! and eps =
+    # sum (-t)^j / (2j + 4)!, and K = phi (3 sig^2 + 4 gam eps) / (eps^2 sig^2)
+    # with t phi = 3 sig^2 - 4 gam eps, whose constant terms cancel exactly.
+    # The series are summed in rationals to t^(M-1), on t in [0, 9]; past it
+    # each term is below half the one before, so twice the first one left
+    # bounds the rest, and t^n in 3 sig^2 - 4 gam eps is at most 7 2^(2n+6)
+    # / (2n+6)! (a sub-sum of the binomial expansion of 2^(2n+6) / (2n+6)!).
+    from fractions import Fraction
+
     iv = mp.iv
+    M, T = 30, 9.0
 
-    def at(h):
-        return _arc_ratio_and_stretch(iv.mpf(h), iv)
+    def series(shift):
+        return [Fraction((-1) ** j, math.factorial(2 * j + shift)) for j in range(M)]
 
-    h1, end, step, cells = 0.2, math.pi - 1e-3, 1e-3, 0
-    m1, H1 = at(h1)
-    while h1 < end:
-        h2 = min(h1 + step, end)
-        m2, H2 = at(h2)
-        if H2.b <= _dido_bound(m1, 0.9, iv).a and H1.a >= _dido_bound(m2, 6, iv).b:
-            h1, m1, H1, step, cells = h2, m2, H2, 1.5 * step, cells + 1
-        else:
-            step *= 0.5
-            assert step > 1e-9, h1
-    assert cells > 100
+    def times(p, q):
+        return [sum(p[i] * q[n - i] for i in range(n + 1)) for n in range(M)]
+
+    sig, gam, eps = series(3), series(2), series(4)
+    diff = [3 * u - 4 * v for u, v in zip(times(sig, sig), times(gam, eps))]
+    assert diff[0] == 0
+    tail = {
+        "sig": 2 * T ** M / math.factorial(2 * M + 3),
+        "gam": 2 * T ** M / math.factorial(2 * M + 2),
+        "eps": 2 * T ** M / math.factorial(2 * M + 4),
+        "phi": 2 * 7 * 2 ** (2 * M + 6) * T ** (M - 1) / math.factorial(2 * M + 6),
+    }
+
+    def enclose(coefs, t, rest):
+        acc = iv.mpf(0)
+        for u in reversed(coefs):
+            acc = acc * t + iv.mpf(u.numerator) / u.denominator
+        return acc + iv.mpf([-rest, rest])
+
+    def near(t):
+        S, G, E = (enclose(c, t, tail[k]) for c, k in ((sig, "sig"), (gam, "gam"), (eps, "eps")))
+        return enclose(diff[1:], t, tail["phi"]) * (3 * S * S + 4 * G * E) / (E * E * S * S)
+
+    def far(h):
+        s = iv.sin(h)
+        N = 2 * h - iv.sin(2 * h)
+        D = h * h - s * s
+        return iv.mpf(9) / 4 * N * N / (D * D) - 64 * s ** 4 / (N * N)
+
+    # h in [0, 1.5] is t in [0, 9]; pi.b is the upper end of pi's enclosure
+    for f, a, b in ((near, 0.0, T), (far, 1.5, iv.pi.b)):
+        todo = [(mp.mpf(a), mp.mpf(b))]
+        while todo:
+            a, b = todo.pop()
+            k = f(iv.mpf([a, b]))
+            if not (0.9 <= k.a and k.b <= 6):
+                assert b - a > 1e-9, (a, b, k)
+                todo += [(a, (a + b) / 2), ((a + b) / 2, b)]
 
 
 def test_net_conflicts_decide_knife_edge_pairs_exactly():
