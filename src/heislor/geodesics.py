@@ -92,20 +92,22 @@ def exp_jacobian_det(param, t: float) -> float:
 
 
 def log(q) -> GeoParam:
-    """Inverse of exp_point(., 1) on the chronological future of the origin."""
+    """Inverse of exp_point(., 1) on the chronological future of the origin:
+    w is solved in the frame of boost_to_axis, and (u, v) mapped back in
+    closed form."""
     require_finite(q)
     a, b, c = q
     if not in_chronological_future(ORIGIN, q):
         zt = c / ((a - b) * (a + b)) if a > abs(b) else None
         raise NotChronologicalError("point not in the chronological future", _causal_defect(q), zt)
-    boost, T = minkowski_iso.boost_to_axis(a, b)
-    zt = c / (T * T)
-    w = _solve_bending(zt)
-    # as in _hyperbola_length, (w/2)/tanh(w/2) rounds to 1 below |w| = 1e-8
-    ua = T if abs(w) < 1e-8 else T * 0.5 * w / math.tanh(0.5 * w)
-    va = -T * 0.5 * w
-    u, v = boost.inverse().apply((ua, va))
-    return GeoParam(float(u), float(v), w)
+    T = minkowski_iso.boost_to_axis(a, b)[2]
+    w = _solve_bending(c / (T * T))
+    # the axis-frame parameter is T (k, -h), h = w/2 and k = h/tanh(h); the
+    # inverse boost (a/T, b/T) maps it back in closed form, where T cancels.
+    # As in _hyperbola_length, k rounds to 1 below |w| = 1e-8.
+    h = 0.5 * w
+    k = 1.0 if abs(w) < 1e-8 else h / math.tanh(h)
+    return GeoParam(a * k - b * h, b * k - a * h, w)
 
 
 def tau(p, q) -> float:
@@ -118,7 +120,7 @@ def tau(p, q) -> float:
     if not in_chronological_future(ORIGIN, r):
         return 0.0
     a, b, c = r
-    T = math.sqrt((a - b) * (a + b))
+    T = minkowski_iso.boost_to_axis(a, b)[2]
     zt = c / (T * T)
     # length sqrt(u^2 - v^2) of the axis-frame parameter
     return 0.0 if abs(zt) >= 0.25 else _hyperbola_length(T, _solve_bending(zt))

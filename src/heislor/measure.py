@@ -426,10 +426,20 @@ def dimension_probe(center, radius, d_values, seed=0, n_samples: int = 100000, d
         deltas = [radius * f for f in (0.4, 0.2, 0.1, 0.05)]
     if not all(0.0 < d < radius / 2.0 for d in deltas):
         raise ValueError("need 0 < delta < radius/2")
+    # radius^4, the factor of lower that the input sets, is checked before the
+    # sample is drawn.  The quadrature in lower waits for the nets: its first
+    # LAPACK call allocates BLAS buffers, about 1.2 MB, which would add to
+    # the nets' memory peak.
+    try:
+        scale = radius ** 4
+    except OverflowError:  # a float power raises where a product gives inf
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise ValueError("the bounds at this radius and delta are not finite positive floats")
     pts = _half_ball_points(int(seed), int(n_samples))
     sizes = [_greedy_net(pts, round(d / radius, 12)) for d in deltas]
     try:
-        lower = radius ** 4 * _unit_ball_volume() / UNIT_DIAMOND_VOLUME
+        lower = scale * _unit_ball_volume() / UNIT_DIAMOND_VOLUME
         covers = [[_cover_sum(d, k, delta) for k, delta in zip(sizes, deltas)] for d in d_values]
     except OverflowError:  # a float power raises where a product gives inf
         lower = covers = math.inf

@@ -55,25 +55,10 @@ class IsoProblem(NamedTuple):
     c: float
 
 
-class Boost(NamedTuple):
-    """Linear map preserving -x^2 + y^2, det = 1, future-preserving."""
-
-    mat: np.ndarray
-
-    def apply(self, xy):
-        return self.mat @ np.asarray(xy, dtype=float)
-
-    def inverse(self) -> "Boost":
-        m = self.mat
-        inv = np.array([[m[0, 0], -m[0, 1]], [-m[1, 0], m[1, 1]]])
-        return Boost(inv)
-
-
 class IsoSolution(NamedTuple):
     case: str
     T: float
     y_c: Optional[float]
-    boost: Optional[Boost]
     max_length: float
 
 
@@ -89,12 +74,19 @@ def classify(prob: IsoProblem) -> str:
 
 
 def boost_to_axis(a: float, b: float):
-    """Boost sending the timelike endpoint (a, b) to (T, 0); returns (Boost, T)."""
+    """(ch, sh, T) = (a/T, b/T, sqrt(a^2 - b^2)) for a timelike endpoint.
+
+    The boost (x, y) -> (ch x - sh y, ch y - sh x) sends (a, b) to (T, 0); its
+    inverse is (x, y) -> (ch x + sh y, sh x + ch y).  ValueError unless a > |b|
+    and T^2 = (a - b)(a + b) is a positive finite float.
+    """
     if not a > abs(b):
         raise ValueError("need a > |b| for a future timelike endpoint")
-    T = math.sqrt((a - b) * (a + b))
-    mat = np.array([[a / T, -b / T], [-b / T, a / T]])
-    return Boost(mat), T
+    T2 = (a - b) * (a + b)
+    if not 0.0 < T2 < math.inf:
+        raise ValueError(f"a^2 - b^2 rounds to {T2!r}: the endpoint is out of float64's range")
+    T = math.sqrt(T2)
+    return a / T, b / T, T
 
 
 def hyperbola_ordinate(y_c: float, T: float, x):
@@ -266,40 +258,40 @@ def solve(prob: IsoProblem) -> IsoSolution:
     """Full classification plus maximizer parameters and maximal length."""
     case = classify(prob)
     a, b, c = prob
-    if case == CASE_EMPTY:
-        return IsoSolution(case, 0.0, None, None, 0.0)
-    if not a > abs(b):
-        # null endpoint (a broken_null verdict): the straight null segment
-        return IsoSolution(case, 0.0, None, None, 0.0)
-    boost, T = boost_to_axis(a, b)
+    if case == CASE_EMPTY or not a > abs(b):
+        # empty, or a null endpoint (a broken_null verdict), whose maximizer
+        # is the straight null segment
+        return IsoSolution(case, 0.0, None, 0.0)
+    T = boost_to_axis(a, b)[2]
     if case == CASE_TIMELIKE_LINE:
-        return IsoSolution(case, T, None, boost, T)
+        return IsoSolution(case, T, None, T)
     if case == CASE_BROKEN_NULL:
-        return IsoSolution(case, T, None, boost, 0.0)
+        return IsoSolution(case, T, None, 0.0)
     w = _solve_bending(c / (T * T))
     y_c = math.copysign(0.5 * T / math.tanh(0.5 * abs(w)), c)
-    return IsoSolution(case, T, y_c, boost, _hyperbola_length(T, w))
+    return IsoSolution(case, T, y_c, _hyperbola_length(T, w))
 
 
 def sample_solution(sol: IsoSolution, prob: IsoProblem, n: int) -> SampledCurve:
     """n samples of the maximizer from (0,0) to (a,b).
 
-    The curve is built as a graph over the boosted time axis and mapped back.
-    Orientation: the closing chord runs along the axis, so positive enclosed
-    area corresponds to a graph dipping to negative ordinates; the sampled
-    curve is oriented so its discrete signed area converges to +c.
+    The curve is built as a graph over the boosted time axis and mapped back
+    elementwise by the inverse boost of boost_to_axis; sol.T == 0 is the
+    straight null segment.  Orientation: the closing chord runs along the
+    axis, so positive enclosed area corresponds to a graph dipping to negative
+    ordinates; the sampled curve is oriented so its discrete signed area
+    converges to +c.
     """
     if sol.case == CASE_EMPTY:
         raise NoSolutionError("no admissible curve for this endpoint/area")
     if n < 2:
         raise ValueError("need n >= 2 samples")
     a, b, c = prob
-    if sol.boost is None:
-        # straight null segment to (a, b)
+    if sol.T == 0.0:
         ts = np.linspace(0.0, 1.0, n)
         pts = np.column_stack([ts * a, ts * b])
         return SampledCurve(ts, pts)
-    T = sol.T
+    ch, sh, T = boost_to_axis(a, b)
     xs = np.linspace(0.0, T, n)
     if sol.case == CASE_TIMELIKE_LINE:
         ys = np.zeros(n)
@@ -307,6 +299,4 @@ def sample_solution(sol: IsoSolution, prob: IsoProblem, n: int) -> SampledCurve:
         ys = -np.sign(c) * np.minimum(xs, np.abs(xs - T))
     else:
         ys = -hyperbola_ordinate(sol.y_c, T, xs)
-    pts_axis = np.column_stack([xs, ys])
-    pts = pts_axis @ sol.boost.inverse().mat.T
-    return SampledCurve(xs, pts)
+    return SampledCurve(xs, np.column_stack([ch * xs + sh * ys, sh * xs + ch * ys]))

@@ -279,16 +279,15 @@ def sample_diamond(q, n: int, seed) -> np.ndarray:
     if not in_chronological_future(ORIGIN, q):
         raise ValueError("the diamond J(0, q) has no interior to sample")
     a, b, c = q
-    boost, _ = boost_to_axis(a, b)
+    ch, sh, _ = boost_to_axis(a, b)
     T2 = (a - b) * (a + b)
     out = [np.empty((0, 3))]
     while sum(map(len, out)) < n:
         x, y, z, hit = fibre_hits(T2, c, [seed, len(out) - 1], FIBRE_CHUNK)
         out.append(np.column_stack([x[hit], y[hit], z[hit]]))
     x, y, z = np.concatenate(out)[:n].T
-    # elementwise, not a matmul, whose rounding may depend on n
-    (m00, m01), (m10, m11) = boost.inverse().mat
-    return np.column_stack([m00 * x + m01 * y, m10 * x + m11 * y, z])
+    # the inverse boost, elementwise, not a matmul, whose rounding may depend on n
+    return np.column_stack([ch * x + sh * y, sh * x + ch * y, z])
 
 
 def diamond_in_box_check(p, q, n: int, seed) -> dict:

@@ -230,7 +230,8 @@ def test_criterion_06_isoperimetric_solver():
             )
             s = 0.5 * (1.0 - fp_max) / max(dphi_max, 1e-12)
             pts_axis = np.column_stack([xs, f + s * phi])
-            pts = pts_axis @ sol.boost.inverse().mat.T
+            ch, sh = a / sol.T, b / sol.T  # the inverse boost of boost_to_axis
+            pts = pts_axis @ np.array([[ch, sh], [sh, ch]]).T
             length = lorentzian_length(make_curve(xs, pts))
             worst_excess = max(worst_excess, length - best_len)
     ok = worst_area <= 1e-6 and worst_excess < -1e-9

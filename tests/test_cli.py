@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import heislor
-from heislor import sr_metric
+from heislor import measure, sr_metric
 from heislor.cli import _BALL_BOX_CONSTANT, run
 from heislor.sr_metric import _distance_from_origin
 
@@ -188,6 +188,40 @@ def test_hausdorff_rejects_bad_samples(capsys):
 )
 def test_hausdorff_bad_input_exits_1(capsys, argv):
     code = run(["hausdorff", *argv, "--samples", "1000"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["--radius", "1e200", "--delta", "1e199"], ["--radius", "1e-200", "--delta", "1e-201"]]
+)
+def test_hausdorff_checks_lower_before_sampling(capsys, monkeypatch, argv):
+    # radius^4, the factor of lower that the input sets, needs no sample: a
+    # radius where it overflows or underflows draws none
+    def unexpected(*args):
+        raise AssertionError("the half-ball sample was drawn")
+
+    monkeypatch.setattr(measure, "_half_ball_points", unexpected)
+    code = run(["hausdorff", *argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a^2 - b^2 overflows
+        ["iso-solve", "1e200", "0", "1e300"],
+        ["diamond-box", "0", "0", "0", "1e160", "0", "1e300", "--samples", "100"],
+        ["tau", "0", "0", "0", "1e200", "0", "0"],
+        # a^2 - b^2 underflows to 0 on a broken_null endpoint
+        ["iso-solve", "1e-170", "0", "1e-341"],
+    ],
+)
+def test_squared_chord_out_of_range_exits_1(capsys, argv):
+    code = run(argv)
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -1,6 +1,7 @@
 """Exponential map, its inverse, time separation, geodesic constructions."""
 
 import math
+import types
 
 import mpmath as mp
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heislor import geodesics, minkowski_iso
 from heislor.geodesics import (
     Geodesic,
     GeoParam,
@@ -302,6 +304,19 @@ def test_log_round_trip_tiny_bending(x, z):
     assert back.x == x and abs(back.y) <= 1e-15
     if z > 1e-300:
         assert abs(back.z - z) <= 4e-16 * z
+
+
+def test_scalar_solvers_make_no_numpy_call(monkeypatch):
+    # tau, log and solve work on floats alone: with numpy gone from both
+    # modules, bar the ndarray type that the isinstance dispatch reads, a
+    # boosted hyperbola endpoint gives the same results
+    q = Event(2.0, 0.7, 0.3)
+    prob = minkowski_iso.IsoProblem(*q)
+    expected = (tau(ORIGIN, q), log(q), minkowski_iso.solve(prob))
+    bare = types.SimpleNamespace(ndarray=np.ndarray)
+    monkeypatch.setattr(geodesics, "np", bare)
+    monkeypatch.setattr(minkowski_iso, "np", bare)
+    assert (tau(ORIGIN, q), log(q), minkowski_iso.solve(prob)) == expected
 
 
 def test_midpoint_map_axis():

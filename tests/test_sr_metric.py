@@ -273,7 +273,7 @@ def test_fibre_membership_matches_cone_predicate(q):
     # cone inequalities in the frame of q; points within 1e-12 of the
     # fibre's or the planar diamond's edge are left out
     a, b, c = q
-    boost, T = boost_to_axis(a, b)
+    ch, sh, T = boost_to_axis(a, b)
     rng = np.random.default_rng(21)
     n = 200000
     x = rng.uniform(-0.05 * T, 1.05 * T, n)
@@ -282,7 +282,7 @@ def test_fibre_membership_matches_cone_predicate(q):
     lo, length = diamond_fibre(T, c, x, y)
     margin = np.minimum.reduce([x - np.abs(y), T - x - np.abs(y), z - lo, lo + length - z])
     clear = np.abs(margin) > 1e-12
-    pts = np.column_stack([(np.column_stack([x, y]) @ boost.inverse().mat.T), z])
+    pts = np.column_stack([(np.column_stack([x, y]) @ np.array([[ch, sh], [sh, ch]]).T), z])
     member = _in_diamond(pts, ORIGIN, q)
     assert np.array_equal((margin > 0.0)[clear], member[clear])
     assert 0.02 < np.mean(member) < 0.98 and np.mean(clear) > 0.999
