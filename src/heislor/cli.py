@@ -165,15 +165,10 @@ def _cmd_diamond_box(args) -> int:
 
 def _cmd_curvature_check(args) -> int:
     contradiction = curvature.juillet_contradiction()
-    ts, Ns = (0.25, 0.5, 0.75), (1, 2, 5, 10)
-    witnesses = [
-        curvature.tmcp_violation_report(t, N, args.wmax)
-        for t in ts
-        for N in Ns
-        if args.t in (None, t) and args.N in (None, N)
-    ]
-    if not witnesses:
-        raise ValueError(f"--t must be one of {ts} and --N one of {Ns}")
+    # the grid, or the one value given when it is off the grid
+    ts = [t for t in (0.25, 0.5, 0.75) if args.t in (None, t)] or [args.t]
+    Ns = [N for N in (1, 2, 5, 10) if args.N in (None, N)] or [args.N]
+    witnesses = [curvature.tmcp_violation_report(t, N) for t in ts for N in Ns]
     scan = measure.growth_ratio_scan([0.0, 10.0, 20.0, 30.0, 40.0, 50.0])
     payload = {
         "kind": "curvature-check",
@@ -250,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("curvature-check", help="curvature-condition failure report")
     sp.add_argument("--t", type=float, default=None)
     sp.add_argument("--N", type=float, default=None)
-    sp.add_argument("--wmax", type=float, default=200.0)
     add_common(sp)
     sp.set_defaults(func=_cmd_curvature_check)
 

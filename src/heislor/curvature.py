@@ -3,15 +3,17 @@
 This module evaluates the scalar skeletons of the timelike curvature-dimension
 machinery: the model-space distortion coefficients tau_{K,N}^{(t)}(theta), the
 Jacobian-determinant ratio that defeats every timelike measure-contraction
-property, the midpoint-map determinant 1/32 that defeats the timelike
-Brunn-Minkowski inequality, and the plain Brunn-Minkowski arithmetic.
+property (it falls strictly in the bending |w|, so the first integer witness
+below t^N is solved by an integer search, for every finite N), the
+midpoint-map determinant 1/32 that defeats the timelike Brunn-Minkowski
+inequality, and the plain Brunn-Minkowski arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from typing import NamedTuple, Union
+import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,53 +96,77 @@ def tmcp_jacobian_ratio(t: float, w: float) -> float:
     return math.exp(_ln_det_factor(t - 1.0, w) - _ln_det_factor(-1.0, w))
 
 
-def tmcp_violation_report(t: float, N: float, w_max: float = 200.0) -> dict:
-    """Search for a bending parameter w certifying the contraction failure.
+# Proof that the ratio falls strictly in |w|, which the witness search needs.
+# Write x = |w|/2, sigma = 1 - t, g(y) = y cosh y - sinh y and
+# P(y) = sinh(y) g(y); then |F(-1)| = P(x), |F(t-1)| = sigma P(sigma x) and
+#   ratio = sigma P(sigma x) / P(x),
+#   d ln ratio / dx = (phi(sigma x) - phi(x)) / x,
+#   phi(y) = y P'(y) / P(y) = y coth y + y^2 sinh y / g(y),
+# using g' = y sinh y.  y coth y increases: its derivative is
+# (sinh 2y / 2 - y) / sinh^2 y > 0.  q = y^2 sinh y / g increases:
+#   (q'/q) y g sinh y = y sinh y cosh y - 2 sinh^2 y + y^2 = h(2y),
+#   h(u) = (u/4) sinh u - cosh u + 1 + u^2/4
+#        = sum_{k>=3} (k/2 - 1) u^{2k} / (2k)! > 0,
+# with y, g and sinh y > 0 for y > 0.  So phi increases, phi(sigma x) <
+# phi(x), and the ratio falls strictly in |w|; from P(y) ~ (y - 1) e^{2y}/4
+# it tends to 0 like e^{-t|w|}, so every threshold t^N > 0 has a witness.
+# In floats, ln ratio is the difference of two terms of size about |w|,
+# rounded to about |w| eps, while one unit step of w moves it by about t:
+# past |w| = t / (64 eps) the computed ratio need not fall step by step.
+# It also stops falling once it is subnormal, hence the threshold's floor.
 
-    Finds w < 0 with tmcp_jacobian_ratio(t, w) < t^N; the ratio tends to 0 as
-    w -> -infinity while t^N is a fixed positive threshold, so a witness
-    always exists for large enough |w|.
+
+def tmcp_violation_report(t: float, N: float) -> dict:
+    """The first integer bending w = -k certifying the contraction failure.
+
+    witness_w is the first w in -1, -2, ... with tmcp_jacobian_ratio(t, w)
+    < t^N, and ratio the ratio there.  The ratio falls strictly in |w| to 0
+    (proof above), so k is found by doubling and then bisecting over the
+    integers, in O(log k) evaluations.  ValueError when N is not finite,
+    when t^N is below the smallest normal float, or when the witness lies
+    past |w| = t / (64 eps), where the computed ratio no longer resolves a
+    unit step of w.
     """
     if not 0.0 < t < 1.0:
         raise ValueError("need t in (0, 1)")
-    if not N >= 1:
-        raise ValueError("need N >= 1")
+    if not 1.0 <= N < math.inf:
+        raise ValueError("need finite N >= 1")
     threshold = t ** N
-    w = -1.0
-    while -w <= w_max:
-        ratio = tmcp_jacobian_ratio(t, w)
-        if ratio < threshold:
-            return {
-                "found": True,
-                "witness_w": w,
-                "ratio": ratio,
-                "threshold": threshold,
-                "t": t,
-                "N": N,
-            }
-        w -= 1.0
+    if threshold < sys.float_info.min:
+        raise ValueError(f"t^N = {threshold!r} is below the smallest normal float")
+    k_max = t / (64.0 * sys.float_info.epsilon)
+    # the witness is -hi, with ratio(-lo) >= threshold (vacuous at lo = 0)
+    lo, hi = 0, 1
+    while not tmcp_jacobian_ratio(t, -float(hi)) < threshold:
+        if hi > k_max:
+            raise ValueError(f"the witness lies past |w| = t/(64 eps) = {k_max!r}")
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if tmcp_jacobian_ratio(t, -float(mid)) < threshold:
+            hi = mid
+        else:
+            lo = mid
     return {
-        "found": False,
-        "inconclusive": True,
+        "found": True,
+        "witness_w": -float(hi),
+        "ratio": tmcp_jacobian_ratio(t, -float(hi)),
         "threshold": threshold,
         "t": t,
         "N": N,
-        "w_max": w_max,
     }
 
 
-def midpoint_det_check(step: float = 1e-5):
+def midpoint_det_check():
     """Jacobian determinant of the midpoint map at the reference pair.
 
-    numeric: |det| of central finite differences of p -> midpoint(anchor, p)
-    at p = (-1,0,0), anchor = (1,0,0).  analytic: the quotient of the
-    half-time and full-time Jacobian determinants at the displacement
-    (2,0,0), i.e. (1/2)^5 times a w = 0 factor ratio of 1, exactly 1/32.
+    numeric: |det| of central finite differences, step 1e-5, of
+    p -> midpoint(anchor, p) at p = (-1,0,0), anchor = (1,0,0).  analytic:
+    the quotient of the half-time and full-time Jacobian determinants at the
+    displacement (2,0,0), i.e. (1/2)^5 times a w = 0 factor ratio of 1,
+    exactly 1/32.
     """
-    if not step > 0:
-        raise ValueError("step must be positive")
-    if step > 1e-2:
-        warnings.warn("finite-difference step too large for a reliable result")
+    step = 1e-5
     anchor = Event(1.0, 0.0, 0.0)
     base = np.array([-1.0, 0.0, 0.0])
     jac = np.empty((3, 3))
@@ -184,20 +210,20 @@ def bm_inequality_eval(
     vol1: float,
     volt: float,
     K: float,
-    N: Union[float, None],
+    N: float,
     t: float,
     Theta: float,
 ) -> BMReport:
     """Evaluate the Brunn-Minkowski inequality for given volumes.
 
     Finite N: volt^(1/N) >= tau^{(1-t)}(Theta) vol0^(1/N) +
-    tau^{(t)}(Theta) vol1^(1/N).  N infinite (entropic form): volt >=
+    tau^{(t)}(Theta) vol1^(1/N).  N = math.inf (entropic form): volt >=
     vol0^(1-t) vol1^t exp(K t (1-t) Theta^2 / 2).
     """
     if min(vol0, vol1, volt) <= 0.0:
         raise ValueError("volumes must be positive")
     params = {"K": K, "N": N, "t": t, "Theta": Theta}
-    if N is None or math.isinf(N):
+    if math.isinf(N):
         lhs = volt
         rhs = vol0 ** (1.0 - t) * vol1 ** t * math.exp(
             K * t * (1.0 - t) * Theta * Theta / 2.0

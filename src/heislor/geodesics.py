@@ -98,7 +98,9 @@ def log(q) -> GeoParam:
     require_finite(q)
     a, b, c = q
     if not in_chronological_future(ORIGIN, q):
-        zt = c / ((a - b) * (a + b)) if a > abs(b) else None
+        # T^2 may underflow to 0 on a point with a > |b|: no zt then
+        T2 = (a - b) * (a + b)
+        zt = c / T2 if a > abs(b) and T2 > 0.0 else None
         raise NotChronologicalError("point not in the chronological future", _causal_defect(q), zt)
     T = minkowski_iso.boost_to_axis(a, b)[2]
     w = _solve_bending(c / (T * T))

@@ -14,6 +14,7 @@ import pytest
 import heislor
 from heislor import measure, sr_metric
 from heislor.cli import _BALL_BOX_CONSTANT, run
+from heislor.curvature import tmcp_jacobian_ratio
 from heislor.sr_metric import _distance_from_origin
 
 SCHEMA = json.load(
@@ -227,14 +228,34 @@ def test_squared_chord_out_of_range_exits_1(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [["--t", "0.01"], ["--N", "3"], ["--t", "0.5", "--N", "2.5"]])
-def test_curvature_check_off_grid_exits_1(capsys, argv):
-    # --t and --N pick from the fixed grid; a value off it is no empty answer
-    code = run(["curvature-check", *argv])
+@pytest.mark.parametrize(
+    "argv", [["--t", "0.01", "--N", "3"], ["--N", "3"], ["--t", "0.5", "--N", "2.5"]]
+)
+def test_curvature_check_off_grid_is_solved(capsys, argv):
+    # a --t or --N off the grid gets its witness computed, and each is the
+    # first integer w whose ratio falls below t^N
+    given = dict(zip(argv[::2], map(float, argv[1::2])))
+    code, out = invoke(capsys, ["curvature-check", *argv])
+    assert code == 0
+    witnesses = check_json(out)["tmcp_witnesses"]
+    assert len(witnesses) == (1 if "--t" in given else 3)
+    for rep in witnesses:
+        t, N, w = rep["t"], rep["N"], rep["witness_w"]
+        assert t == given.get("--t", t) and N == given["--N"]
+        assert rep["found"] is True and rep["threshold"] == t ** N
+        assert rep["ratio"] == tmcp_jacobian_ratio(t, w) < t ** N
+        assert w == -1.0 or t ** N <= tmcp_jacobian_ratio(t, w + 1.0)
+    if argv[:2] == ["--t", "0.01"]:
+        assert witnesses[0]["witness_w"] == -1380.0
+
+
+def test_curvature_check_rejects_infinite_n_and_wmax(capsys):
+    # N = inf has no finite threshold t^N to solve for; the scan's cap is gone
+    code = run(["curvature-check", "--N", "inf"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "(0.25, 0.5, 0.75)" in captured.err and "(1, 2, 5, 10)" in captured.err
+    assert invoke(capsys, ["curvature-check", "--wmax", "5"]) == (2, "")
 
 
 def test_usage_errors(capsys):

@@ -104,22 +104,48 @@ def test_tmcp_violation_report_finds_witness():
     assert rep["threshold"] == 0.25 ** 10
 
 
-def test_tmcp_violation_report_inconclusive_cap():
-    # small t decays only like e^{-t|w|}, so a tiny search cap gives up
-    rep = tmcp_violation_report(0.05, 1.0, w_max=5.0)
-    assert rep["found"] is False and rep["inconclusive"] is True
+def test_tmcp_witness_matches_scan():
+    # the solved witness is the first integer w = -1, -2, ... a plain scan
+    # finds, with the same ratio and threshold bits, on a seeded grid with
+    # t out to 0.01 and 0.99 and fractional N
+    rng = np.random.default_rng(30)
+    ts = [0.01, 0.99, *rng.uniform(0.01, 0.99, 10)]
+    Ns = [1.0, 2.5, *rng.uniform(1.0, 20.0, 6)]
+    for t in ts:
+        for N in Ns:
+            threshold = t ** N
+            w = -1.0
+            while not tmcp_jacobian_ratio(t, w) < threshold:
+                w -= 1.0
+            rep = tmcp_violation_report(t, N)
+            assert rep["found"] is True
+            assert (rep["witness_w"], rep["ratio"], rep["threshold"]) == (
+                w, tmcp_jacobian_ratio(t, w), threshold
+            )
+    # a scan capped at |w| = 200 gave up here
+    assert tmcp_violation_report(0.01, 1.0)["witness_w"] == -459.0
+
+
+@pytest.mark.parametrize(
+    "t, N",
+    [
+        (0.5, 0.5),  # N below 1
+        (0.5, math.inf),  # no finite threshold
+        (0.5, math.nan),
+        (0.5, 2000.0),  # t^N underflows to 0
+        (0.01, 154.0),  # t^N = 1e-308 is subnormal
+        (1e-9, 1.0),  # the witness lies past |w| = t/(64 eps)
+    ],
+)
+def test_tmcp_violation_report_input_checks(t, N):
     with pytest.raises(ValueError):
-        tmcp_violation_report(0.5, 0.5)
+        tmcp_violation_report(t, N)
 
 
 def test_midpoint_det_check():
     numeric, analytic = midpoint_det_check()
     assert analytic == 1.0 / 32.0
     assert abs(numeric - 1.0 / 32.0) < 1e-6
-    with pytest.raises(ValueError):
-        midpoint_det_check(step=-1.0)
-    with pytest.warns(UserWarning):
-        midpoint_det_check(step=0.1)
 
 
 def test_juillet_contradiction_report():
@@ -155,7 +181,7 @@ def test_appendix_limit_scan_matches_measure(capsys):
 
 
 def test_bm_inequality_eval_entropic():
-    rep = bm_inequality_eval(1.0, 1.0, 0.9, -1.0, None, 0.5, 1.0)
+    rep = bm_inequality_eval(1.0, 1.0, 0.9, -1.0, math.inf, 0.5, 1.0)
     expect = math.exp(-0.125)
     assert abs(rep.rhs - expect) < 1e-15
     assert rep.satisfied

@@ -130,6 +130,19 @@ def test_log_not_chronological_explains_itself():
     assert "c/T^2" not in str(err.value)
 
 
+def test_log_chord_underflow_raises_not_chronological():
+    # a > |b|, but T^2 = (a - b)(a + b) underflows to 0: no c/T^2 to give
+    with pytest.raises(NotChronologicalError) as err:
+        log(Event(1e-170, 0.0, 1e-341))
+    assert err.value.zt is None and "c/T^2" not in str(err.value)
+
+
+def test_midpoint_map_chord_underflow_raises_not_chronological():
+    with pytest.raises(NotChronologicalError) as err:
+        midpoint_map(Event(1e-170, 0.0, 0.0), ORIGIN)
+    assert err.value.zt is None
+
+
 def test_exp_jacobian_det_positive_and_scaling():
     det = exp_jacobian_det(GeoParam(1.0, 0.0, 0.0), 1.0)
     assert abs(det - 1.0 / 12.0) < 1e-15  # t^5 (u^2 - v^2)/12 at w = 0
