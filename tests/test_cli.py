@@ -250,7 +250,7 @@ def test_curvature_check_off_grid_is_solved(capsys, argv):
 
 
 def test_curvature_check_rejects_infinite_n_and_wmax(capsys):
-    # N = inf has no finite threshold t^N to solve for; the scan's cap is gone
+    # N = inf has no finite threshold t^N to solve for, and --wmax is no option
     code = run(["curvature-check", "--N", "inf"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""

@@ -122,7 +122,7 @@ def test_tmcp_witness_matches_scan():
             assert (rep["witness_w"], rep["ratio"], rep["threshold"]) == (
                 w, tmcp_jacobian_ratio(t, w), threshold
             )
-    # a scan capped at |w| = 200 gave up here
+    # a witness past |w| = 200
     assert tmcp_violation_report(0.01, 1.0)["witness_w"] == -459.0
 
 
