@@ -67,19 +67,10 @@ def exp_point(param, t: float) -> Event:
         y = t * (v + 0.5 * u * wt + v * wt * wt / 6.0)
         z = (u * u - v * v) * t ** 3 * w / 12.0 * (1.0 + wt * wt / 20.0)
         return Event(x, y, z)
-    # With E = expm1(wt) and G = expm1(-wt), sinh(wt) = (E - G) / 2 and
-    # cosh(wt) - 1 = -E G / 2, neither of which cancels.  Formed in numpy's
-    # extended precision (80-bit on x86-64) and rounded once, x and y are
-    # correctly rounded but near halfway cases and where their two terms
-    # cancel.  log needs it: it recovers w from (x - y)(x + y), and one ulp of
-    # x moves x - y by up to e^|w| (u + v) / (u - v) ulps.
-    ewt = np.longdouble(w) * t
-    E = np.expm1(ewt)
-    G = np.expm1(-ewt)
-    sh = (E - G) / (2.0 * w)  # sinh(wt) / w
-    c1 = E * G / (-2.0 * w)  # (cosh(wt) - 1) / w
-    x = float(u * sh + v * c1)
-    y = float(v * sh + u * c1)
+    sh = math.sinh(wt)
+    c1 = 2.0 * math.sinh(0.5 * wt) ** 2  # cosh(wt) - 1
+    x = (v * c1 + u * sh) / w
+    y = (v * sh + u * c1) / w
     z = 0.5 * (u * u - v * v) * _odd_tail(wt) / (w * w)
     return Event(x, y, z)
 
