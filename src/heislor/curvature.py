@@ -134,13 +134,14 @@ def tmcp_violation_report(t: float, N: float) -> dict:
     threshold = t ** N
     if threshold < sys.float_info.min:
         raise ValueError(f"t^N = {threshold!r} is below the smallest normal float")
-    k_max = t / (64.0 * sys.float_info.epsilon)
-    # the witness is -hi, with ratio(-lo) >= threshold (vacuous at lo = 0)
+    k_max = math.floor(t / (64.0 * sys.float_info.epsilon))
+    # the witness is -hi, with ratio(-lo) >= threshold (vacuous at lo = 0);
+    # hi doubles but stops at k_max, so no witness past it is accepted
     lo, hi = 0, 1
     while not tmcp_jacobian_ratio(t, -float(hi)) < threshold:
-        if hi > k_max:
-            raise ValueError(f"the witness lies past |w| = t/(64 eps) = {k_max!r}")
-        lo, hi = hi, 2 * hi
+        if hi >= k_max:
+            raise ValueError(f"the witness lies past |w| = t/(64 eps) = {k_max}")
+        lo, hi = hi, min(2 * hi, k_max)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if tmcp_jacobian_ratio(t, -float(mid)) < threshold:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -140,6 +141,22 @@ def test_tmcp_witness_matches_scan():
 def test_tmcp_violation_report_input_checks(t, N):
     with pytest.raises(ValueError):
         tmcp_violation_report(t, N)
+
+
+def test_tmcp_violation_report_cap_holds_at_the_doubling_step():
+    # the doubling steps 2^26 <= k_max < 2^27 here: a witness between k_max
+    # and 2^27 raises, and one just below k_max is still solved
+    t = 1e-6
+    k_max = math.floor(t / (64.0 * sys.float_info.epsilon))
+    assert 2 ** 26 <= k_max < 2 ** 27
+    N_past = math.log(tmcp_jacobian_ratio(t, -1.5 * k_max)) / math.log(t)
+    with pytest.raises(ValueError):
+        tmcp_violation_report(t, N_past)
+    N_within = math.log(tmcp_jacobian_ratio(t, -0.99 * k_max)) / math.log(t)
+    rep = tmcp_violation_report(t, N_within)
+    assert -k_max <= rep["witness_w"] < -2 ** 26
+    assert rep["ratio"] < rep["threshold"]
+    assert not tmcp_jacobian_ratio(t, rep["witness_w"] + 1.0) < rep["threshold"]
 
 
 def test_midpoint_det_check():
