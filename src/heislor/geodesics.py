@@ -11,9 +11,10 @@ hyperbolic bending of the planar projection.  At parameter time t:
 by series below |wt| = 1e-8 (straight lines at w = 0).  At t = 1 this is a
 diffeomorphism onto the open chronological future of the origin, which gives
 the time separation tau and unique maximizing geodesics between chronologically
-related points.  Inversion is by reduction (boost + dilation) to one monotone
-scalar equation in w, the Dido inversion of minkowski_iso._solve_bending, a
-bracketed Newton solve.
+related points.  Inversion solves one monotone scalar equation in w, the Dido
+inversion of minkowski_iso._solve_bending (a bracketed Newton solve) at
+c/T^2, T^2 = x^2 - y^2, and recovers u + v and u - v from the null coordinates
+x + y and x - y.
 """
 
 from __future__ import annotations
@@ -92,9 +93,12 @@ def exp_jacobian_det(param, t: float) -> float:
 
 
 def log(q) -> GeoParam:
-    """Inverse of exp_point(., 1) on the chronological future of the origin:
-    w is solved in the frame of boost_to_axis, and (u, v) mapped back in
-    closed form."""
+    """Inverse of exp_point(., 1) on the chronological future of the origin.
+
+    w solves the Dido equation R(w) = c/T^2, and (u, v) follow from the null
+    coordinates: x + y = (u + v) expm1(w)/w and x - y = (u - v)(-expm1(-w))/w
+    at t = 1.  Neither quotient cancels, so exp_point(log(q), 1) is within
+    64 (u + |v|)/(u - |v|) ulps of q at any bending."""
     require_finite(q)
     a, b, c = q
     if not in_chronological_future(ORIGIN, q):
@@ -104,12 +108,10 @@ def log(q) -> GeoParam:
         raise NotChronologicalError("point not in the chronological future", _causal_defect(q), zt)
     T = minkowski_iso.boost_to_axis(a, b)[2]
     w = _solve_bending(c / (T * T))
-    # the axis-frame parameter is T (k, -h), h = w/2 and k = h/tanh(h); the
-    # inverse boost (a/T, b/T) maps it back in closed form, where T cancels.
-    # As in _hyperbola_length, k rounds to 1 below |w| = 1e-8.
-    h = 0.5 * w
-    k = 1.0 if abs(w) < 1e-8 else h / math.tanh(h)
-    return GeoParam(a * k - b * h, b * k - a * h, w)
+    # w / expm1(w) keeps its digits for a subnormal w, where (a + b) * w does not
+    s, d = (a + b, a - b) if w == 0.0 else (
+        (a + b) * (w / math.expm1(w)), (a - b) * (-w / math.expm1(-w)))
+    return GeoParam(0.5 * (s + d), 0.5 * (s - d), w)
 
 
 def tau(p, q) -> float:
@@ -149,13 +151,6 @@ def geodesic_between(p, q, n: int = 1025) -> Union[Geodesic, SampledCurve]:
     return SampledCurve(lifted.times, np.column_stack(group_mul(p, lifted.points.T)))
 
 
-def _hyperbolic_rotation(param) -> GeoParam:
-    u, v, w = param
-    ch = math.cosh(w)
-    sh = math.sinh(w)
-    return GeoParam(u * ch + v * sh, u * sh + v * ch, w)
-
-
 def midpoint_map(anchor, p) -> Event:
     """tau-midpoint of the geodesic from p to anchor.
 
@@ -169,19 +164,15 @@ def geodesic_inversion(center, p) -> Event:
     """Reflect p through center along the unique geodesic.
 
     center becomes the tau-midpoint of p and its image; the map is a smooth
-    involution with unit Jacobian determinant.
+    involution with unit Jacobian determinant.  Raises NotChronologicalError,
+    from log, unless p is chronologically related to center.
     """
     r = group_mul(group_inv(center), p)
-    if in_chronological_future(ORIGIN, r):
-        image = exp_point(log(r), -1.0)
-    elif in_chronological_future(r, ORIGIN):
-        # r is in the chronological past; -r is a future point whose
-        # parameters transfer to the past branch via the hyperbolic rotation
-        param = _hyperbolic_rotation(log(group_inv(r)))
-        image = exp_point(param, 1.0)
-    else:
-        raise NotChronologicalError("point not chronologically related to center")
-    return group_mul(center, image)
+    # rho(x, y, z) = (-x, -y, z) is an automorphism that reverses time
+    # orientation: it maps I-(0) onto I+(0), and the inversion commutes with it
+    s = 1.0 if in_chronological_future(ORIGIN, r) else -1.0
+    x, y, z = exp_point(log(Event(s * r.x, s * r.y, r.z)), -1.0)
+    return group_mul(center, Event(s * x, s * y, z))
 
 
 def cut_additivity_check(param, t1: float, t2: float, t3: float) -> bool:

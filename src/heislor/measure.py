@@ -399,10 +399,15 @@ def hausdorff_bounds(center, radius, delta, seed, n_samples: int = 100000):
     of the CC ball B(center, radius) at cover scale delta.
 
     Lower: L^3(B)/K from the volume growth bound (any diamond cover satisfies
-    sum tau^4 >= L^3(B)/K).  Upper: greedy maximal delta-separated net of
-    B(center, radius/2), each net ball blown up to a diamond of time
-    separation 2 D delta (D = 1/rho), summed with weight omega_4 and dilated
-    by 2 to swallow the full ball: the d = 4 cover sum of dimension_probe.
+    sum tau^4 >= L^3(B)/K), 68.41 for B(0, 1).  It bounds sum tau^4 with no
+    weight, and rests on K, which is measured, not proved.  The cover sums
+    carry omega_4 = pi/24, so the bound comparable with them is omega_4 times
+    lower, 8.955 for B(0, 1).  Upper: greedy maximal delta-separated net of
+    a sample of B(center, radius/2), each net ball blown up to a diamond of
+    time separation 2 D delta (D = 1/rho), summed with weight omega_4 and
+    dilated by 2 to swallow the full ball: the d = 4 cover sum of
+    dimension_probe.  It is sampled, not a proved bound: the net of a sample
+    need not cover the ball.
     """
     probe = dimension_probe(center, radius, [4], seed, n_samples, [delta])
     return probe["lower"], probe["dims"][4.0]["sums"][0]
@@ -413,7 +418,10 @@ def dimension_probe(center, radius, d_values, seed=0, n_samples: int = 100000, d
 
     The sums diverge for d < 4, vanish for d > 4 and stabilize at d = 4;
     the report lists the nets' sizes, hausdorff_bounds' lower bound, and
-    (delta, sum) per trial dimension with a trend tag.  One half-ball sample
+    (delta, sum) per trial dimension with a trend tag.  The lower bound is on
+    sum tau^4, with no weight: compare omega_4 * lower (8.955 for B(0, 1))
+    with the d = 4 sums.  The sums are over nets of a sample, not proved
+    bounds.  One half-ball sample
     is drawn, and one net is built per delta, each with 0 < delta < radius/2.
     The bound and every sum must be finite positive floats.
     """

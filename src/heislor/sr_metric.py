@@ -133,8 +133,6 @@ def sr_distance(p, q) -> float:
     x, y, z = group_mul(group_inv(p), q)
     # np.hypot, as the array path: math.hypot rounds differently
     chord, az = float(np.hypot(x, y)), abs(z)
-    if z == 0.0:
-        return chord
     if chord <= 1e-14 * math.sqrt(az):
         return 2.0 * math.sqrt(math.pi * az)
     m = az / (chord * chord) if chord * chord >= sys.float_info.min else az / chord / chord

@@ -6,7 +6,7 @@ import types
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heislor import geodesics, minkowski_iso
@@ -89,6 +89,90 @@ def test_log_round_trip_moderate_bending(param):
     back = log(q)
     scale = max(abs(param.u), abs(param.v), abs(param.w))
     assert max(abs(a - b) for a, b in zip(param, back)) <= 1e-9 * scale
+
+
+# the whole u, v strategy with |w| up to 19, near where endpoints start to
+# round onto the null boundary
+wide_param = st.tuples(
+    st.floats(0.1, 10.0),
+    st.floats(-0.95, 0.95),
+    st.floats(-19.0, 19.0),
+).map(lambda t: GeoParam(t[0], t[0] * t[1], t[2]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_param)
+def test_log_is_backward_stable(param):
+    # exp_point(log(q), 1) is within 64 cond ulps of q at any bending: x and y
+    # in ulps of max(|x|, |y|), z in ulps of |z|.  Rounding u and v to floats
+    # alone moves u + v or u - v, and so x + y or x - y, by up to
+    # cond = (u + |v|)/(u - |v|) ulps (39 at |v/u| = 0.95).  An endpoint that
+    # rounds out of I+(0) has no preimage (criterion 1) and is skipped
+    q = exp_point(param, 1.0)
+    try:
+        back = exp_point(log(q), 1.0)
+    except NotChronologicalError:
+        assume(False)
+    u, v, _ = param
+    tol = 64.0 * (u + abs(v)) / (u - abs(v))
+    assert max(abs(back.x - q.x), abs(back.y - q.y)) <= tol * math.ulp(max(abs(q.x), abs(q.y)))
+    assert abs(back.z - q.z) <= tol * math.ulp(abs(q.z))
+
+
+def _mp_log(q, w0):
+    # exact preimage of the float point q in the working precision, through
+    # c/((a + b)(a - b)) = R(w) solved from the float bending w0; None off I+
+    a, b, c = (mp.mpf(x) for x in q)
+    s, d = a + b, a - b
+    if s <= 0 or d <= 0 or abs(c / (s * d)) >= mp.mpf(1) / 4:
+        return None
+    w = mp.findroot(lambda x: (mp.sinh(x) - x) / (8 * mp.sinh(x / 2) ** 2) - c / (s * d), w0)
+    if c != 0:
+        s, d = s * w / mp.expm1(w), d * w / -mp.expm1(-w)
+    return (s + d) / 2, (s - d) / 2, w
+
+
+def _banded_params(rng, lo, hi, n):
+    u = rng.uniform(0.5, 10.0, n)
+    v = u * rng.uniform(-0.95, 0.95, n)
+    w = rng.uniform(lo, hi, n) * rng.choice([-1.0, 1.0], n)
+    return [GeoParam(*t) for t in zip(u.tolist(), v.tolist(), w.tolist())]
+
+
+# (|w| band): the largest error of (u, v) in ulps of max(|u|, |v|) allowed
+# there.  Past |w| = 4 the error of w itself, the endpoint's conditioning and
+# the rounding of c/T^2, carries into (u, v) and dominates.
+LOG_FORWARD_BOUNDS = {
+    (0, 1): 6.0,
+    (1, 2): 8.0,
+    (4, 5): 160.0,
+    (7, 8): 1e3,
+    (13, 14): 2e5,
+    (18, 19): 2e7,
+}
+
+
+def test_log_forward_error_against_mpmath():
+    # against the 80-digit preimage of the float endpoint, 50 draws per band
+    rng = np.random.default_rng(18)
+    with mp.workdps(80):
+        for (lo, hi), bound in LOG_FORWARD_BOUNDS.items():
+            worst, used = 0.0, 0
+            for param in _banded_params(rng, lo, hi, 50):
+                q = exp_point(param, 1.0)
+                try:
+                    got = log(q)
+                except NotChronologicalError:
+                    continue
+                ref = _mp_log(q, got.w)
+                if ref is None:
+                    continue
+                used += 1
+                ulp = math.ulp(max(abs(float(ref[0])), abs(float(ref[1]))))
+                err = max(abs(got.u - ref[0]), abs(got.v - ref[1]))
+                worst = max(worst, float(err) / ulp)
+            assert used >= 45, (lo, hi, used)
+            assert worst <= bound, (lo, hi, worst)
 
 
 def test_round_trip_conditioning_growth():
@@ -359,6 +443,46 @@ def test_geodesic_inversion_involution_and_midpoint():
     assert np.allclose(back, p, atol=1e-8)
     with pytest.raises(NotChronologicalError):
         geodesic_inversion(center, group_mul(center, Event(1.0, 1.0, 0.0)))
+
+
+def _rho(p):
+    # the automorphism (x, y, z) -> (-x, -y, z), which reverses time orientation
+    return Event(-p.x, -p.y, p.z)
+
+
+def test_geodesic_inversion_commutes_with_time_reversal():
+    rng = np.random.default_rng(32)
+    for param in _banded_params(rng, 0.0, 12.0, 200):
+        r = exp_point(param, 1.0)
+        assert geodesic_inversion(ORIGIN, _rho(r)) == _rho(geodesic_inversion(ORIGIN, r))
+
+
+def test_geodesic_inversion_of_past_points_against_mpmath():
+    # the image of a past point r is exp(rot(log(r^-1)), 1), where rot is the
+    # hyperbolic rotation by w of (u, v), against the 80-digit value of the
+    # float r: x and y in ulps of max(|x|, |y|), z in ulps of |z|
+    rng = np.random.default_rng(9)
+    worst, used = 0.0, 0
+    with mp.workdps(80):
+        for param in _banded_params(rng, 0.0, 9.0, 100):
+            r = _rho(exp_point(param, 1.0))
+            img = geodesic_inversion(ORIGIN, r)
+            ref = _mp_log(group_inv(r), -param.w)
+            if ref is None:
+                continue
+            used += 1
+            u, v, w = ref
+            u, v = u * mp.cosh(w) + v * mp.sinh(w), u * mp.sinh(w) + v * mp.cosh(w)
+            want = (
+                (v * (mp.cosh(w) - 1) + u * mp.sinh(w)) / w,
+                (v * mp.sinh(w) + u * (mp.cosh(w) - 1)) / w,
+                (u * u - v * v) * (mp.sinh(w) - w) / (2 * w * w),
+            )
+            ulp = math.ulp(max(abs(float(want[0])), abs(float(want[1]))))
+            err = max(abs(img.x - want[0]), abs(img.y - want[1])) / ulp
+            worst = max(worst, float(err), float(abs(img.z - want[2])) / math.ulp(float(abs(want[2]))))
+    assert used == 100
+    assert worst <= 4e3, worst
 
 
 def test_cut_additivity():
