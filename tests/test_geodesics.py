@@ -127,8 +127,7 @@ def _mp_log(q, w0):
     if s <= 0 or d <= 0 or abs(c / (s * d)) >= mp.mpf(1) / 4:
         return None
     w = mp.findroot(lambda x: (mp.sinh(x) - x) / (8 * mp.sinh(x / 2) ** 2) - c / (s * d), w0)
-    if c != 0:
-        s, d = s * w / mp.expm1(w), d * w / -mp.expm1(-w)
+    s, d = s * w / mp.expm1(w), d * w / -mp.expm1(-w)
     return (s + d) / 2, (s - d) / 2, w
 
 
@@ -462,16 +461,12 @@ def test_geodesic_inversion_of_past_points_against_mpmath():
     # hyperbolic rotation by w of (u, v), against the 80-digit value of the
     # float r: x and y in ulps of max(|x|, |y|), z in ulps of |z|
     rng = np.random.default_rng(9)
-    worst, used = 0.0, 0
+    worst = 0.0
     with mp.workdps(80):
         for param in _banded_params(rng, 0.0, 9.0, 100):
             r = _rho(exp_point(param, 1.0))
             img = geodesic_inversion(ORIGIN, r)
-            ref = _mp_log(group_inv(r), -param.w)
-            if ref is None:
-                continue
-            used += 1
-            u, v, w = ref
+            u, v, w = _mp_log(group_inv(r), -param.w)
             u, v = u * mp.cosh(w) + v * mp.sinh(w), u * mp.sinh(w) + v * mp.cosh(w)
             want = (
                 (v * (mp.cosh(w) - 1) + u * mp.sinh(w)) / w,
@@ -481,7 +476,6 @@ def test_geodesic_inversion_of_past_points_against_mpmath():
             ulp = math.ulp(max(abs(float(want[0])), abs(float(want[1]))))
             err = max(abs(img.x - want[0]), abs(img.y - want[1])) / ulp
             worst = max(worst, float(err), float(abs(img.z - want[2])) / math.ulp(float(abs(want[2]))))
-    assert used == 100
     assert worst <= 4e3, worst
 
 

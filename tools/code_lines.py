@@ -16,7 +16,8 @@ import sys
 import tokenize
 from pathlib import Path
 
-LAYOUT = {
+NOT_CODE = {
+    tokenize.ENCODING,
     tokenize.COMMENT,
     tokenize.NEWLINE,
     tokenize.NL,
@@ -31,10 +32,9 @@ def docstring_lines(source: str) -> set[int]:
     lines = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            body = node.body
-            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
-                if isinstance(body[0].value.value, str):
-                    lines.update(range(body[0].lineno, body[0].end_lineno + 1))
+            if ast.get_docstring(node, clean=False) is not None:
+                first = node.body[0]
+                lines.update(range(first.lineno, first.end_lineno + 1))
     return lines
 
 
@@ -44,10 +44,9 @@ def code_lines(path: Path) -> int:
     lines = set()
     with path.open("rb") as f:
         for tok in tokenize.tokenize(f.readline):
-            if tok.type in LAYOUT or tok.type == tokenize.ENCODING:
-                continue
-            lines.update(n for n in range(tok.start[0], tok.end[0] + 1) if n not in skip)
-    return len(lines)
+            if tok.type not in NOT_CODE:
+                lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - skip)
 
 
 def main(argv: list[str]) -> int:
