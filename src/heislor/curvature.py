@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from heislor import geodesics
+from heislor import geodesics, minkowski_iso
 from heislor.heisenberg_core import Event
 
 
@@ -75,7 +75,7 @@ def _ln_det_factor(s: float, w: float) -> float:
     x = abs(0.5 * w * s)
     if x < 30.0:
         return math.log(
-            abs(s) * math.sinh(x) * geodesics._xcosh_minus_sinh(x)
+            abs(s) * math.sinh(x) * minkowski_iso._xcosh_minus_sinh(x)
         )
     # asymptotics: sinh x ~ e^x/2, x cosh x - sinh x ~ (x-1) e^x / 2
     return math.log(abs(s)) + 2.0 * x - 2.0 * math.log(2.0) + math.log(x - 1.0)

@@ -11,10 +11,10 @@ hyperbolic bending of the planar projection.  At parameter time t:
 by series below |wt| = 1e-8 (straight lines at w = 0).  At t = 1 this is a
 diffeomorphism onto the open chronological future of the origin, which gives
 the time separation tau and unique maximizing geodesics between chronologically
-related points.  Inversion solves one monotone scalar equation in w, the Dido
-inversion of minkowski_iso._solve_bending (a bracketed Newton solve) at
-c/T^2, T^2 = x^2 - y^2, and recovers u + v and u - v from the null coordinates
-x + y and x - y.
+related points.  Inversion takes w from minkowski_iso.maximizer, the Dido
+inversion (a bracketed Newton solve) at c/T^2, T^2 = x^2 - y^2, which also
+decides that the point is in I+(0), and recovers u + v and u - v from the null
+coordinates x + y and x - y.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from heislor.heisenberg_core import (
     NotCausalError,
     NotChronologicalError,
     SampledCurve,
-    _causal_defect,
     group_inv,
     group_mul,
     in_causal_future,
@@ -39,7 +38,7 @@ from heislor.heisenberg_core import (
     lift,
     require_finite,
 )
-from heislor.minkowski_iso import _hyperbola_length, _odd_tail, _solve_bending, _xcosh_minus_sinh
+from heislor.minkowski_iso import _hyperbola_length, _odd_tail, _xcosh_minus_sinh
 
 # below this |w t| the series replaces the closed forms, which divide by w
 SERIES_WT = 1e-8
@@ -100,14 +99,8 @@ def log(q) -> GeoParam:
     at t = 1.  Neither quotient cancels, so exp_point(log(q), 1) is within
     64 (u + |v|)/(u - |v|) ulps of q at any bending."""
     require_finite(q)
-    a, b, c = q
-    if not in_chronological_future(ORIGIN, q):
-        # T^2 may underflow to 0 on a point with a > |b|: no zt then
-        T2 = (a - b) * (a + b)
-        zt = c / T2 if a > abs(b) and T2 > 0.0 else None
-        raise NotChronologicalError("point not in the chronological future", _causal_defect(q), zt)
-    T = minkowski_iso.boost_to_axis(a, b)[2]
-    w = _solve_bending(c / (T * T))
+    w = minkowski_iso.maximizer(q)[1]
+    a, b, _ = q
     # w / expm1(w) keeps its digits for a subnormal w, where (a + b) * w does not
     s, d = (a + b, a - b) if w == 0.0 else (
         (a + b) * (w / math.expm1(w)), (a - b) * (-w / math.expm1(-w)))
@@ -118,16 +111,12 @@ def tau(p, q) -> float:
     """Time separation: maximal Lorentzian length of causal curves p -> q."""
     require_finite(p, q)
     r = group_mul(group_inv(p), q)
-    # 0 off I+(p) and on the null boundary, where the maximizer has zero
-    # length.  Within rounding of the boundary c/T^2 may round to +-1/4 past
-    # the predicate's NULL_TOL: that is the boundary too.
-    if not in_chronological_future(ORIGIN, r):
+    # 0 off I+(p) and within rounding of its boundary, where the maximizer
+    # is a null line of zero length
+    try:
+        return _hyperbola_length(*minkowski_iso.maximizer(r))
+    except NotChronologicalError:
         return 0.0
-    a, b, c = r
-    T = minkowski_iso.boost_to_axis(a, b)[2]
-    zt = c / (T * T)
-    # length sqrt(u^2 - v^2) of the axis-frame parameter
-    return 0.0 if abs(zt) >= 0.25 else _hyperbola_length(T, _solve_bending(zt))
 
 
 def geodesic_between(p, q, n: int = 1025) -> Union[Geodesic, SampledCurve]:
@@ -142,8 +131,10 @@ def geodesic_between(p, q, n: int = 1025) -> Union[Geodesic, SampledCurve]:
         raise ValueError("need distinct endpoints")
     if not in_causal_future(ORIGIN, r):
         raise NotCausalError("endpoints not causally related")
-    if in_chronological_future(ORIGIN, r):
+    try:
         return Geodesic(Event(*p), log(r), 1.0)
+    except NotChronologicalError:
+        pass
     prob = minkowski_iso.IsoProblem(r.x, r.y, r.z)
     sol = minkowski_iso.solve(prob)
     planar = minkowski_iso.sample_solution(sol, prob, n)

@@ -32,7 +32,9 @@ class NotChronologicalError(ValueError):
     defect: -a^2 + b^2 + 4|c| of the displacement (a, b, c) that failed, which
     is >= -NULL_TOL off the open future cone; zt: its c/T^2, T^2 = a^2 - b^2,
     when a > |b| and T^2 > 0 in floats, which is outside (-1/4, 1/4) beyond
-    the cone's sheets.  The message carries both when given.
+    the cone's sheets.  Within rounding of a sheet c/T^2 may round to +-1/4
+    where the defect is below -NULL_TOL: that fails too.  The message
+    carries both when given.
     """
 
     def __init__(self, msg: str, defect=None, zt=None):

@@ -9,8 +9,10 @@ outside the closed region there is no admissible curve.
 Everything is solved in boosted coordinates where the endpoint sits at (T, 0)
 on the time axis, T = sqrt(a^2 - b^2), and mapped back with the inverse boost.
 The hyperbola is found from its bending w, one monotone scalar equation in
-c/T^2 (_solve_bending); its lift is the geodesic with that bending, so the
-same solve gives geodesics.log and geodesics.tau.
+c/T^2 (_solve_bending).  Its lift is the geodesic with that bending, so one
+kernel, maximizer, decides whether the endpoint is strictly inside the cone
+and returns (T, w) for solve, geodesics.tau, geodesics.log and
+geodesics.geodesic_between alike.
 
 The Dido kernel below serves both signatures.  The area over the squared
 chord enclosed by the arc of bending x is R(x) = tail(x) / (8 s(x/2)^2),
@@ -33,6 +35,7 @@ from heislor.heisenberg_core import (
     ORIGIN,
     NotChronologicalError,
     SampledCurve,
+    _causal_defect,
     in_causal_future,
     in_chronological_future,
 )
@@ -60,17 +63,6 @@ class IsoSolution(NamedTuple):
     T: float
     y_c: Optional[float]
     max_length: float
-
-
-def classify(prob: IsoProblem) -> str:
-    """Feasibility region and solution type for the endpoint/area data."""
-    if not in_causal_future(ORIGIN, prob):
-        return CASE_EMPTY
-    # on the cone's boundary the broken null line is the only causal curve;
-    # to a null endpoint it is straight, and its area rounds to 0
-    if not in_chronological_future(ORIGIN, prob):
-        return CASE_BROKEN_NULL
-    return CASE_TIMELIKE_LINE if prob.c == 0.0 else CASE_HYPERBOLA
 
 
 def boost_to_axis(a: float, b: float):
@@ -225,8 +217,6 @@ def _solve_bending(zt: float) -> float:
     if abs(zt) < 1e-9:
         return 12.0 * zt
     m = abs(zt)
-    if m >= 0.25:
-        raise NotChronologicalError("vertical ratio outside (-1/4, 1/4)", zt=zt)
     if m < 0.15:
         w = 12.0 * m / math.sqrt(1.0 - 4.0 * m)
     else:
@@ -254,22 +244,50 @@ def _hyperbola_length(T: float, w: float) -> float:
     return T * 0.5 * w / math.sinh(0.5 * w)
 
 
+def maximizer(r) -> tuple[float, float]:
+    """(T, w) for r = (a, b, c) in I+(0): the chord T of boost_to_axis and
+    the bending w with R(w) = c/T^2.
+
+    The maximizer from 0 to r is the hyperbola arc of bending w over the
+    chord T, of length _hyperbola_length(T, w), and its lift is the geodesic
+    to r of that bending.  NotChronologicalError off I+(0), and where c/T^2
+    rounds to +-1/4 or past: r is then within rounding of the cone's
+    boundary, where the maximizer is a null line.  The error carries the
+    defect of r, and c/T^2 when a > |b| and T^2 > 0.
+    """
+    a, b, c = r
+    if in_chronological_future(ORIGIN, r):
+        T = boost_to_axis(a, b)[2]
+        zt = c / (T * T)
+        if abs(zt) < 0.25:
+            return T, _solve_bending(zt)
+    else:
+        # T^2 may underflow to 0 on a point with a > |b|: no zt then
+        T2 = (a - b) * (a + b)
+        zt = c / T2 if a > abs(b) and T2 > 0.0 else None
+    raise NotChronologicalError("point not in the chronological future", _causal_defect(r), zt)
+
+
 def solve(prob: IsoProblem) -> IsoSolution:
     """Full classification plus maximizer parameters and maximal length."""
-    case = classify(prob)
-    a, b, c = prob
-    if case == CASE_EMPTY or not a > abs(b):
-        # empty, or a null endpoint (a broken_null verdict), whose maximizer
-        # is the straight null segment
-        return IsoSolution(case, 0.0, None, 0.0)
-    T = boost_to_axis(a, b)[2]
-    if case == CASE_TIMELIKE_LINE:
-        return IsoSolution(case, T, None, T)
-    if case == CASE_BROKEN_NULL:
-        return IsoSolution(case, T, None, 0.0)
-    w = _solve_bending(c / (T * T))
-    y_c = math.copysign(0.5 * T / math.tanh(0.5 * abs(w)), c)
-    return IsoSolution(case, T, y_c, _hyperbola_length(T, w))
+    if not in_causal_future(ORIGIN, prob):
+        return IsoSolution(CASE_EMPTY, 0.0, None, 0.0)
+    try:
+        T, w = maximizer(prob)
+    except NotChronologicalError:
+        # on the cone's boundary the broken null line is the only causal
+        # curve; to a null endpoint it is straight, and its area rounds to 0
+        T = boost_to_axis(prob.a, prob.b)[2] if prob.a > abs(prob.b) else 0.0
+        return IsoSolution(CASE_BROKEN_NULL, T, None, 0.0)
+    if w == 0.0:
+        return IsoSolution(CASE_TIMELIKE_LINE, T, None, T)
+    y_c = math.copysign(0.5 * T / math.tanh(0.5 * abs(w)), prob.c)
+    return IsoSolution(CASE_HYPERBOLA, T, y_c, _hyperbola_length(T, w))
+
+
+def classify(prob: IsoProblem) -> str:
+    """Feasibility region and solution type for the endpoint/area data."""
+    return solve(prob).case
 
 
 def sample_solution(sol: IsoSolution, prob: IsoProblem, n: int) -> SampledCurve:

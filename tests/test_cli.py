@@ -99,6 +99,41 @@ def test_geodesic_csv(capsys):
     assert np.allclose(rows[[5, 10], 1:], [(1.0, -1.0, 0.0), (2.0, 0.0, 1.0)], rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "q",
+    [
+        ("676.6669605390703", "-611.8954584837733", "20865.53084302914"),
+        ("1565.9851864023294", "-844.1827751465735", "-434916.26154434204"),
+    ],
+    ids=["chronological-predicate", "causal-predicate"],
+)
+def test_pairs_within_rounding_of_the_cone_are_null(capsys, q):
+    # c/T^2 rounds to +-1/4: tau prints 0, and geodesic and iso-solve give
+    # the null line of length 0 with it, also where the chronological
+    # predicate passes
+    code, out = invoke(capsys, ["tau", "0", "0", "0", *q])
+    assert code == 0 and float(out) == 0.0
+    code, out = invoke(capsys, ["geodesic", "0", "0", "0", *q])
+    assert code == 0
+    payload = check_json(out)
+    assert payload["type"] == "null" and payload["tau"] == 0.0
+    code, out = invoke(capsys, ["iso-solve", *q])
+    assert code == 0
+    payload = check_json(out)
+    assert payload["case"] == "broken_null" and payload["max_length"] == 0.0
+
+
+def test_iso_solve_area_ratio_underflow_is_the_line(capsys):
+    # c != 0, but c/T^2 underflows to 0 and so does the bending: the
+    # straight line, of tau's length
+    code, out = invoke(capsys, ["iso-solve", "1e10", "0", "1e-310"])
+    assert code == 0
+    payload = check_json(out)
+    assert payload["case"] == "timelike_line" and payload["max_length"] == 1e10
+    code, out = invoke(capsys, ["tau", "0", "0", "0", "1e10", "0", "1e-310"])
+    assert code == 0 and float(out) == 1e10
+
+
 def test_geodesic_error_exit(capsys):
     code, _ = invoke(capsys, ["geodesic", "0", "0", "0", "-1", "0", "0"])
     assert code == 1

@@ -268,20 +268,80 @@ def test_tau_matches_param_length():
         assert abs(tau(ORIGIN, exp_point(param, t)) - ell * t) < 1e-11 * ell * t
 
 
+_NEAR_CONE = (
+    Event(676.6669605390703, -611.8954584837733, 20865.53084302914),
+    Event(1565.9851864023294, -844.1827751465735, -434916.26154434204),
+)
+
+
 def test_tau_is_zero_within_rounding_of_the_cone():
     # pairs within rounding of the null boundary, where c/T^2 rounds to +-1/4:
     # the first passes the chronological predicate, the second only the causal
     # one.  tau is 0 on both, and log reports the rounded ratio
-    near = [
-        Event(676.6669605390703, -611.8954584837733, 20865.53084302914),
-        Event(1565.9851864023294, -844.1827751465735, -434916.26154434204),
-    ]
-    for q, zt in zip(near, (0.25, -0.25)):
+    for q, zt in zip(_NEAR_CONE, (0.25, -0.25)):
         assert tau(ORIGIN, q) == 0.0
         with pytest.raises(NotChronologicalError) as err:
             log(q)
         assert err.value.zt == zt and f"c/T^2 = {zt!r}" in str(err.value)
 
+
+def _agreement_draws(rng):
+    # displacements of every kind the entry points must agree on
+    for _ in range(300):  # timelike, from random base points
+        u = rng.uniform(0.1, 10.0)
+        param = GeoParam(u, u * rng.uniform(-0.95, 0.95), rng.uniform(-19.0, 19.0))
+        p = Event(*rng.uniform(-2.0, 2.0, 3))
+        yield group_mul(group_inv(p), group_mul(p, exp_point(param, 1.0)))
+    yield from _NEAR_CONE
+    for _ in range(500):  # c/T^2 a few ulps either side of +-1/4
+        # scaled by T * T, which c/T^2 divides by, and by (a - b)(a + b),
+        # which the predicate reads: past T = 100 the ulp or so between them
+        # exceeds NULL_TOL, and 1-3 % of these pass the predicate while
+        # c/T^2 rounds to +-1/4
+        a, b = _boosted_chord(rng, 10.0 ** rng.uniform(-1.0, 4.0))
+        T = minkowski_iso.boost_to_axis(a, b)[2]
+        k = int(rng.integers(-4, 5))  # ulps from 1/4, which are halved below it
+        zt = rng.choice([-1.0, 1.0]) * (0.25 + k * math.ulp(0.125 if k < 0 else 0.25))
+        yield Event(a, b, zt * (T * T))
+        yield Event(a, b, zt * ((a - b) * (a + b)))
+    for _ in range(50):  # null and spacelike endpoints, and the past
+        s = rng.uniform(0.1, 2.0)
+        a, b = _boosted_chord(rng, s)
+        sign = rng.choice([-1.0, 1.0])
+        yield Event(s, sign * s, 0.0)
+        yield Event(a, b, sign * s * s / 4.0)
+        yield Event(s, sign * 2.0 * s, rng.normal())
+        yield Event(-a, b, 0.0)
+        yield Event(a, b, sign * s * s)
+    for _ in range(50):  # c != 0 where c/T^2 underflows to 0
+        a, b = _boosted_chord(rng, 10.0 ** rng.uniform(8.0, 12.0))
+        yield Event(a, b, rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-323.0, -310.0))
+
+
+def _boosted_chord(rng, T):
+    eta = rng.uniform(-3.0, 3.0)
+    return T * math.cosh(eta), T * math.sinh(eta)
+
+
+def test_entry_points_agree_on_the_maximizer():
+    # tau and solve give one length, bit for bit; log fails exactly where
+    # solve finds no timelike maximizer, and geodesic_between returns a
+    # Geodesic exactly where log succeeds
+    for r in _agreement_draws(np.random.default_rng(35)):
+        sol = minkowski_iso.solve(minkowski_iso.IsoProblem(*r))
+        assert tau(ORIGIN, r) == sol.max_length, r
+        try:
+            log(r)
+            chronological = True
+        except NotChronologicalError:
+            chronological = False
+        null = sol.case in (minkowski_iso.CASE_EMPTY, minkowski_iso.CASE_BROKEN_NULL)
+        assert chronological != null, (r, sol)
+        try:
+            geo = geodesic_between(ORIGIN, r, n=11)
+        except NotCausalError:
+            geo = None
+        assert isinstance(geo, Geodesic) == chronological, r
 
 @settings(max_examples=100, deadline=None)
 @given(timelike_param, st.floats(0.05, 4.0))

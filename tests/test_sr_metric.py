@@ -5,7 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heislor import sr_metric
@@ -135,12 +135,21 @@ def test_distance_symmetry(p, q):
     assert abs(sr_distance(p, q) - sr_distance(q, p)) < 1e-9
 
 
+# coordinates k/64 in [-5, 5]: the group law is exact in float64 on them, on
+# the products g p and g q, and on the displacement (g p)^-1 g q
+dyadic = st.integers(-320, 320).map(lambda k: k / 64.0)
+dyadic_point = st.tuples(dyadic, dyadic, dyadic).map(lambda t: Event(*t))
+
+
+# On arbitrary floats group_mul(g, q) rounds: g = (0, 0, 1), p = 0 and
+# q = (0, 0, 1.78e-18) gave g q = g, d1 = 0 against d0 = 4.7e-9.  On the
+# dyadic grid both displacements are p^-1 q exactly, so the distances agree
+# bit for bit; the example is that draw's grid analogue.
 @settings(max_examples=80, deadline=None)
-@given(point, point, point)
+@given(dyadic_point, dyadic_point, dyadic_point)
+@example(Event(0.0, 0.0, 1.0), ORIGIN, Event(0.0, 0.0, 1.0 / 64.0))
 def test_distance_left_invariant(g, p, q):
-    d0 = sr_distance(p, q)
-    d1 = sr_distance(group_mul(g, p), group_mul(g, q))
-    assert abs(d0 - d1) <= 1e-9 * max(d0, 1.0)
+    assert sr_distance(p, q) == sr_distance(group_mul(g, p), group_mul(g, q))
 
 
 def test_full_circle_test_is_relative():
