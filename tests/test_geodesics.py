@@ -343,6 +343,7 @@ def test_entry_points_agree_on_the_maximizer():
             geo = None
         assert isinstance(geo, Geodesic) == chronological, r
 
+
 @settings(max_examples=100, deadline=None)
 @given(timelike_param, st.floats(0.05, 4.0))
 def test_tau_homogeneous_under_dilation(param, lam):

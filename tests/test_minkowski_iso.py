@@ -211,7 +211,7 @@ def test_solve_empty_and_null_endpoint():
 
 def test_solve_follows_classify_near_a_null_endpoint():
     # a - |b| = 9e-13 is below NULL_TOL, but the predicate calls the endpoint
-    # chronological: solve takes classify's hyperbola, of tau's length
+    # chronological: solve reports the hyperbola, of tau's length
     a, b, c = 1.0, 0.9999999999991, 1e-13
     sol = solve(IsoProblem(a, b, c))
     assert classify(IsoProblem(a, b, c)) == sol.case == CASE_HYPERBOLA
