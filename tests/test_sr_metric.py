@@ -1,6 +1,8 @@
 """Carnot-Caratheodory distance, boxes, diamond sampling and inclusions."""
 
+import hashlib
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -303,6 +305,72 @@ def test_sample_diamond_prefix_stable():
     pts = sample_diamond(q, 40000, seed=6)
     for k in (1, 777, 25000):
         assert np.array_equal(pts[:k], sample_diamond(q, k, seed=6))
+
+
+# axis, boosted, and near-null diamonds of both signs, 1/4 - |c|/T^2 = 1e-4
+# with T^2 = 1 exactly
+_DIGEST_DIAMONDS = [
+    Event(1.3, 0.0, 0.2),
+    Event(2.1, 0.6, 0.4),
+    Event(2.0, 0.7, -0.3),
+    Event(1.25, 0.75, 0.2499),
+    Event(1.25, 0.75, -0.2499),
+]
+
+
+def _replayed_fibre_z(q, seed, k):
+    # the z of the first k hits of sample_diamond(q, ., seed), from chunk
+    # (seed, 0) of fibre_hits' draws: (alpha, beta, u) as fibre_hits draws
+    # them, (x, y) = (alpha + beta, alpha - beta), then in rationals the
+    # fibre start lo = max(-f, m - g) and end min(f, m + g) of the two cone
+    # inequalities |z| <= f = (x^2 - y^2)/4 and |z - m| <= g = ((T - x)^2 -
+    # y^2)/4, m = c + T y/2, of J(0, (T, 0, |c|)); z = lo + u, negated for
+    # c < 0.  Exact, up to the float T, alpha, beta and u.
+    a, b, c = q
+    T2 = (a - b) * (a + b)
+    T = math.sqrt(T2)
+    eps, span = sr_metric._strip(T2, c)
+    rng = np.random.default_rng([seed, 0])
+    t = rng.uniform(0.0, span, sr_metric.FIBRE_CHUNK)
+    s = rng.uniform(0.0, 0.5 * T, sr_metric.FIBRE_CHUNK)
+    u = rng.uniform(0.0, fibre_max(T2, c), sr_metric.FIBRE_CHUNK)
+    e = np.exp(np.minimum(1.0 - t, 0.0))
+    al = np.minimum(t, 1.0) * (eps / T) / e
+    be = 0.5 * T - s * e
+    Tq, cq = Fraction(T), Fraction(abs(c))
+    z = []
+    for i in range(sr_metric.FIBRE_CHUNK):
+        x, y = Fraction(al[i]) + Fraction(be[i]), Fraction(al[i]) - Fraction(be[i])
+        f, g, m = (x * x - y * y) / 4, ((Tq - x) ** 2 - y * y) / 4, cq + Tq * y / 2
+        lo = max(-f, m - g)
+        if lo + Fraction(u[i]) <= min(f, m + g):
+            z.append(math.copysign(1.0, c) * (lo + Fraction(u[i])))
+            if len(z) == k:
+                return T2, z
+    raise AssertionError("chunk 0 holds fewer than k hits")
+
+
+def test_diamond_outputs_are_bit_identical():
+    # sha256 of the float.hex of diamond_volume_mc's (value, stderr) and of
+    # sample_diamond's x and y columns on the diamonds above, at n that are
+    # not multiples of FIBRE_CHUNK: a refactor of the diamond kernel that
+    # moves a hit or a planar coordinate by an ulp fails.  z may move by
+    # rounding: it stays within eps T^2/2 of the rational fibre.
+    from heislor.measure import diamond_volume_mc
+
+    digest = hashlib.sha256()
+    for q in _DIGEST_DIAMONDS:
+        for n, seed in ((1000, 0), (20000, 3), (50001, 7)):
+            est = diamond_volume_mc(ORIGIN, q, n, seed)
+            digest.update((" ".join(map(float.hex, est[:2])) + "\n").encode())
+        for n, seed in ((3000, 1), (12000, 4)):
+            pts = sample_diamond(q, n, seed)
+            digest.update((" ".join(map(float.hex, pts[:, :2].ravel())) + "\n").encode())
+        T2, want = _replayed_fibre_z(q, 1, 500)
+        got = sample_diamond(q, 500, 1)[:, 2]
+        err = max(abs(Fraction(g) - w) for g, w in zip(got, want))
+        assert err <= Fraction(np.finfo(float).eps * T2) / 2, float(err)
+    assert digest.hexdigest() == "015cf15cb4f9fe0dd8046cb88abe7b3712c28befd3b7374988a75a2080c40982"
 
 
 @pytest.mark.parametrize(
