@@ -34,13 +34,19 @@ class NotChronologicalError(ValueError):
     when a > |b| and T^2 > 0 in floats, which is outside (-1/4, 1/4) beyond
     the cone's sheets.  Within rounding of a sheet c/T^2 may round to +-1/4
     where the defect is below -NULL_TOL: that fails too.  The message
-    carries both when given.
+    carries both when given.  It is formatted only when read, since most
+    callers catch the error unread; args is (msg, defect, zt), which
+    pickling passes back to __init__.
     """
 
     def __init__(self, msg: str, defect=None, zt=None):
-        msg += "" if defect is None else f": defect -a^2 + b^2 + 4|c| = {defect!r}"
-        super().__init__(msg + ("" if zt is None else f", c/T^2 = {zt!r}"))
+        super().__init__(msg, defect, zt)
         self.defect, self.zt = defect, zt
+
+    def __str__(self) -> str:
+        msg, defect, zt = self.args
+        msg += "" if defect is None else f": defect -a^2 + b^2 + 4|c| = {defect!r}"
+        return msg + ("" if zt is None else f", c/T^2 = {zt!r}")
 
 
 class Event(NamedTuple):

@@ -72,7 +72,9 @@ def diamond_volume_mc(p, q, n: int, seed: int) -> VolumeEstimate:
     hits of n draws of sr_metric.fibre_hits in the frame where the vertex is
     (T, 0, c), and B = sr_metric.envelope_volume(T^2, c) = 2 fibre_max A the
     volume they fill, A = (eps/2)(1 + ln(T^2/(2 eps))) the area of the
-    strip 2 alpha gamma < eps = T^2/4 - |c| that holds every nonempty fibre.
+    strip 2 alpha (T/2 - beta) < eps = T^2/4 - |c| of the null coordinates
+    that holds every nonempty fibre (alpha and beta swapped for c < 0).
+    Only the hit mask is counted; no planar point is formed.
     Deterministic for fixed (seed, n): chunk i comes from the substream
     (seed, i), and the hits are summed in integers.
     """

@@ -285,11 +285,6 @@ def solve(prob: IsoProblem) -> IsoSolution:
     return IsoSolution(CASE_HYPERBOLA, T, y_c, _hyperbola_length(T, w))
 
 
-def classify(prob: IsoProblem) -> str:
-    """Feasibility region and solution type for the endpoint/area data."""
-    return solve(prob).case
-
-
 def sample_solution(sol: IsoSolution, prob: IsoProblem, n: int) -> SampledCurve:
     """n samples of the maximizer from (0,0) to (a,b).
 

@@ -160,48 +160,52 @@ def uniform_box(key, lo, hi, n: int) -> np.ndarray:
     return np.column_stack([rng.uniform(a, b, n) for a, b in zip(lo, hi)])
 
 
-# Over the planar diamond |y| <= min(x, T - x), the axis diamond
-# J(0, (T, 0, c)) is one z-interval: |z| <= f = (x^2 - y^2)/4 (the future cone
-# of 0) and |z - m| <= g = ((T - x)^2 - y^2)/4 with m = c + T y/2 (the past
-# cone of the vertex, through the group displacement).  It starts at
-# lo = max(-f, m - g) and has length L = min(2f, 2g, f + g - |m|).
+# Put x = alpha + beta, y = alpha - beta.  The planar diamond
+# |y| <= min(x, T - x) is the square alpha, beta in [0, T/2], and over it the
+# axis diamond J(0, (T, 0, c)) is one z-interval: |z| <= f = alpha beta (the
+# future cone of 0) and |z - m| <= g = (T/2 - alpha)(T/2 - beta) with
+# m = c + T (alpha - beta)/2 (the past cone of the vertex, through the group
+# displacement).  It starts at lo = max(-f, m - g) and has length
+# L = min(2f, 2g, f + g - |m|).
 #
-# L <= Lmax = T^2/8 - 2 c^2/T^2, with equality at (T/2, -2c/T).  Scale to
-# T = 1 (x, y scale with T; z, c with T^2), so |c| < 1/4, and put
-# s = 1/2 - x, so g - f = s/2.  The four pieces 2f, 2g, f + g - m and
-# f + g + m all have Hessian diag(1, -1), so none has a local maximum, and
-# on the edges of the planar diamond f = 0 or g = 0, so L <= 0.  Hence L is
-# largest where two pieces tie, on one of four lines:
-# - 2m = s or 2m = -s.  Then the pieces are 2f and 2g, y = +-s - 2c, and
-#   L = 2 min(f, g) is Lmax less |s| (1/2 - 2c) or |s| (1/2 + 2c).
-# - m = 0, y = -2c.  L = 2 min(f, g), where f grows with x and g falls, so
-#   L <= 2 f(1/2, -2c) = Lmax.
-# - s = 0.  f = g and y = 2 (m - c), so L = 2f - |m| =
-#   Lmax - 2 m^2 - (|m| - 4 c m) <= Lmax, with equality only at m = 0.
+# L <= Lmax = T^2/8 - 2 c^2/T^2, with equality at alpha = T/4 - c/T,
+# beta = T/4 + c/T.  Scale to T = 1 (alpha, beta scale with T; z, c with
+# T^2), so |c| < 1/4.  The four pieces 2f, 2g, f + g - m and f + g + m are
+# each 2 alpha beta plus an affine function, so none has a local maximum, and
+# on the edges of the square f = 0 or g = 0, so L <= 0.  Hence L is largest
+# where two pieces tie, and as the pieces differ by affine functions, on one
+# of four lines:
+# - alpha = 1/4 - c, where 2f = f + g - m and 2g = f + g + m, or
+#   beta = 1/4 + c, where 2f = f + g + m and 2g = f + g - m.  Then
+#   L = 2 min(f, g), f grows with the free coordinate and g falls, and they
+#   meet at the point above, where 2f = Lmax.
+# - alpha - beta = -2c, where m = 0.  L = 2 min(f, g), f grows with alpha and
+#   g falls, so again L <= Lmax, attained at the same point.
+# - alpha + beta = 1/2, where f = g.  With alpha - beta = 2 (m - c),
+#   2f = 1/8 - 2 (m - c)^2, so L = 2f - |m| = Lmax - 2 m^2 - (|m| - 4 c m)
+#   <= Lmax, with equality only at m = 0.
 #
-# For c >= 0 the fibre is empty off a strip.  Put x = alpha + beta,
-# y = alpha - beta with alpha, beta in [0, T/2], and gamma = T/2 - beta.
-# Then f = alpha beta, g = (T/2 - alpha) gamma and m = c + T (alpha + gamma)/2
-# - T^2/4, so f + g = T (alpha + gamma)/2 - 2 alpha gamma and
-#     L <= f + g - |m| <= f + g - m = eps - 2 alpha gamma,  eps = T^2/4 - c.
-# So L > 0 only on the strip 2 alpha gamma < eps of [0, T/2]^2.  As eps <=
-# T^2/4, its corner a0 = eps/T is at most T/4, and its area is
+# For c >= 0, L <= f + g - m = eps - 2 alpha (T/2 - beta), eps = T^2/4 - c,
+# so the fibre is empty off the strip 2 alpha (T/2 - beta) < eps of the
+# square.  As eps <= T^2/4, its corner a0 = eps/T is at most T/4, and its area is
 #     A = a0 T/2 + int_a0^(T/2) eps/(2 alpha) d alpha = (eps/2)(1 + ln(T^2/(2 eps))),
 # at most 0.85 T^2/4, at c = 0: for every c, draws on the strip keep every
-# hit that draws on the square do, in less area.  The map (alpha, beta) -> (x, y) doubles areas, so
-# the strip times [0, Lmax] has the volume B = 2 Lmax A.  c < 0 is the image
-# of |c| under the automorphism (x, y, z) -> (x, -y, -z), which maps
-# J(0, (T, 0, |c|)) onto J(0, (T, 0, c)).
+# hit that draws on the square do, in less area.  The map (alpha, beta) ->
+# (x, y) doubles areas, so the strip times [0, Lmax] has the volume
+# B = 2 Lmax A.  c < 0 is the image of |c| under the automorphism
+# (x, y, z) -> (x, -y, -z), which maps J(0, (T, 0, |c|)) onto
+# J(0, (T, 0, c)) and swaps alpha and beta.
 
 
-def diamond_fibre(T: float, c: float, x, y):
+def diamond_null(T, c, alpha, beta):
     """(lo, L): the z-fibre [lo, lo + L] of J(0, (T, 0, c)) over the planar
-    points (x, y) of |y| <= min(x, T - x); L < 0 where the fibre is empty."""
-    f = 0.25 * (x - y) * (x + y)
-    g = 0.25 * (T - x - y) * (T - x + y)
-    m = c + 0.5 * T * y
-    lo = np.maximum(-f, m - g)
-    return lo, np.minimum(np.minimum(2.0 * f, 2.0 * g), f + g - np.abs(m))
+    point (alpha + beta, alpha - beta), alpha and beta in [0, T/2]; L < 0
+    where the fibre is empty.  Floats or arrays; on Fractions and object
+    arrays of them the fibre is exact."""
+    f = alpha * beta
+    g = (T / 2 - alpha) * (T / 2 - beta)
+    m = c + T / 2 * (alpha - beta)
+    return np.maximum(-f, m - g), np.minimum(np.minimum(2 * f, 2 * g), f + g - abs(m))
 
 
 def fibre_max(T2: float, c: float) -> float:
@@ -232,13 +236,14 @@ FIBRE_CHUNK = 1 << 14
 def fibre_hits(T2: float, c: float, key, n: int) -> tuple:
     """n hit-or-miss draws under the fibres of J(0, (T, 0, c)), T^2 = T2.
 
-    Returns (x, y, z, hit): the draws as points, and the mask of those in
-    the diamond.  From the substream default_rng(key), for c >= 0,
-    (alpha, gamma) is uniform on the strip 2 alpha gamma < T^2/4 - c of
-    [0, T/2]^2 and u uniform in [0, fibre_max]; a draw is
-    (x, y) = (alpha + beta, alpha - beta), beta = T/2 - gamma, and
-    z = lo + u, and it hits when u <= L.  c < 0 draws |c| and maps the
-    points by (x, y, z) -> (x, -y, -z).  So each draw stands for the volume
+    Returns (alpha, beta, z, hit): the draws in null coordinates, over the
+    planar point (alpha + beta, alpha - beta), and the mask of those in the
+    diamond.  From the substream default_rng(key), for c >= 0,
+    (alpha, T/2 - beta) is uniform on the strip 2 alpha (T/2 - beta) <
+    T^2/4 - c of [0, T/2]^2 and u uniform in [0, fibre_max]; with (lo, L) =
+    diamond_null(T, c, alpha, beta), z = lo + u, and the draw hits when
+    u <= L.  c < 0 draws |c| and maps the draws by (x, y, z) -> (x, -y, -z),
+    which swaps alpha and beta.  So each draw stands for the volume
     envelope_volume(T2, c) / n.
     """
     T = math.sqrt(T2)
@@ -248,22 +253,20 @@ def fibre_hits(T2: float, c: float, key, n: int) -> tuple:
     s = rng.uniform(0.0, 0.5 * T, n)
     u = rng.uniform(0.0, fibre_max(T2, c), n)
     # alpha's marginal density is constant up to a0 = eps/T and eps/(2 alpha)
-    # after: alpha = a0 t for t <= 1 and a0 e^(t - 1) above, where gamma's
-    # range [0, eps/(2 alpha)] is [0, (T/2) e^(1 - t)].  In place, to keep a
-    # chunk's temporaries few.
+    # after: alpha = a0 t for t <= 1 and a0 e^(t - 1) above, where the range
+    # [0, eps/(2 alpha)] of T/2 - beta is [0, (T/2) e^(1 - t)].  In place, to
+    # keep a chunk's temporaries few.
     e = np.exp(np.minimum(1.0 - t, 0.0))
     a = np.minimum(t, 1.0, out=t)
     a *= eps / T
     a /= e
     b = np.multiply(s, e, out=s)
     np.subtract(0.5 * T, b, out=b)
-    x, y = a + b, np.subtract(a, b, out=a)
-    lo, length = diamond_fibre(T, abs(c), x, y)
+    lo, length = diamond_null(T, abs(c), a, b)
     z = np.add(lo, u, out=lo)
     if c < 0.0:
-        np.negative(y, out=y)
-        np.negative(z, out=z)
-    return x, y, z, u <= length
+        return b, a, np.negative(z, out=z), u <= length
+    return a, b, z, u <= length
 
 
 def sample_diamond(q, n: int, seed) -> np.ndarray:
@@ -281,9 +284,10 @@ def sample_diamond(q, n: int, seed) -> np.ndarray:
     T2 = (a - b) * (a + b)
     out = [np.empty((0, 3))]
     while sum(map(len, out)) < n:
-        x, y, z, hit = fibre_hits(T2, c, [seed, len(out) - 1], FIBRE_CHUNK)
-        out.append(np.column_stack([x[hit], y[hit], z[hit]]))
-    x, y, z = np.concatenate(out)[:n].T
+        alpha, beta, z, hit = fibre_hits(T2, c, [seed, len(out) - 1], FIBRE_CHUNK)
+        out.append(np.column_stack([alpha[hit], beta[hit], z[hit]]))
+    alpha, beta, z = np.concatenate(out)[:n].T
+    x, y = alpha + beta, alpha - beta
     # the inverse boost, elementwise, not a matmul, whose rounding may depend on n
     return np.column_stack([ch * x + sh * y, sh * x + ch * y, z])
 

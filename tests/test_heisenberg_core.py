@@ -1,6 +1,7 @@
 """Group structure, causal predicates, curve primitives."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from heislor.heisenberg_core import (
     ORIGIN,
     Event,
     NotCausalError,
+    NotChronologicalError,
     causal_class,
     dilate,
     group_inv,
@@ -207,3 +209,21 @@ def test_predicates_on_arrays_match_float_calls():
         hits[box_contains] += np.count_nonzero(arr)
     # the sweep straddles each boundary
     assert all(0.1 < k / (17 * n) < 0.9 for k in hits.values()), hits
+
+
+def test_not_chronological_message_and_pickle():
+    # the message, formatted when read, in each of its shapes, and a pickle
+    # round trip that keeps it with the defect and c/T^2
+    prefix = "point not in the chronological future"
+    shapes = [
+        ((0.5, 0.375), prefix + ": defect -a^2 + b^2 + 4|c| = 0.5, c/T^2 = 0.375"),
+        ((5.0, None), prefix + ": defect -a^2 + b^2 + 4|c| = 5.0"),
+        ((-1e-13, 0.25), prefix + ": defect -a^2 + b^2 + 4|c| = -1e-13, c/T^2 = 0.25"),
+        ((None, None), prefix),
+    ]
+    for (defect, zt), message in shapes:
+        err = NotChronologicalError(prefix, defect, zt)
+        assert str(err) == message and (err.defect, err.zt) == (defect, zt)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is NotChronologicalError and str(back) == message
+        assert (back.defect, back.zt) == (defect, zt)

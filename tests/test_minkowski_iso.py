@@ -19,7 +19,6 @@ from heislor.minkowski_iso import (
     _odd_tail,
     _solve_bending,
     boost_to_axis,
-    classify,
     hyperbola_area,
     hyperbola_ordinate,
     sample_solution,
@@ -28,20 +27,21 @@ from heislor.minkowski_iso import (
 
 
 def test_classify_cases():
-    assert classify(IsoProblem(-1.0, 0.0, 0.0)) == CASE_EMPTY
-    assert classify(IsoProblem(1.0, 2.0, 0.0)) == CASE_EMPTY
-    assert classify(IsoProblem(2.0, 0.0, 1.5)) == CASE_EMPTY  # |c| > T^2/4
-    assert classify(IsoProblem(2.0, 0.0, 0.0)) == CASE_TIMELIKE_LINE
-    assert classify(IsoProblem(2.0, 0.0, 1.0)) == CASE_BROKEN_NULL
-    assert classify(IsoProblem(2.0, 0.0, -1.0)) == CASE_BROKEN_NULL
-    assert classify(IsoProblem(2.0, 0.0, 0.5)) == CASE_HYPERBOLA
+    # the classification of the endpoint/area data is solve(prob).case
+    assert solve(IsoProblem(-1.0, 0.0, 0.0)).case == CASE_EMPTY
+    assert solve(IsoProblem(1.0, 2.0, 0.0)).case == CASE_EMPTY
+    assert solve(IsoProblem(2.0, 0.0, 1.5)).case == CASE_EMPTY  # |c| > T^2/4
+    assert solve(IsoProblem(2.0, 0.0, 0.0)).case == CASE_TIMELIKE_LINE
+    assert solve(IsoProblem(2.0, 0.0, 1.0)).case == CASE_BROKEN_NULL
+    assert solve(IsoProblem(2.0, 0.0, -1.0)).case == CASE_BROKEN_NULL
+    assert solve(IsoProblem(2.0, 0.0, 0.5)).case == CASE_HYPERBOLA
     # null endpoint: only the zero-area straight null segment exists
-    assert classify(IsoProblem(1.0, 1.0, 0.0)) == CASE_BROKEN_NULL
-    assert classify(IsoProblem(1.0, 1.0, 0.1)) == CASE_EMPTY
+    assert solve(IsoProblem(1.0, 1.0, 0.0)).case == CASE_BROKEN_NULL
+    assert solve(IsoProblem(1.0, 1.0, 0.1)).case == CASE_EMPTY
     # an area within rounding of 0 is 0, as for the causal predicate, and the
     # zero endpoint is on the cone
-    assert classify(IsoProblem(1.0, 1.0, 2.8e-17)) == CASE_BROKEN_NULL
-    assert classify(IsoProblem(0.0, 0.0, 0.0)) == CASE_BROKEN_NULL
+    assert solve(IsoProblem(1.0, 1.0, 2.8e-17)).case == CASE_BROKEN_NULL
+    assert solve(IsoProblem(0.0, 0.0, 0.0)).case == CASE_BROKEN_NULL
 
 
 def _boost_matrices(ch, sh):
@@ -214,7 +214,7 @@ def test_solve_follows_classify_near_a_null_endpoint():
     # chronological: solve reports the hyperbola, of tau's length
     a, b, c = 1.0, 0.9999999999991, 1e-13
     sol = solve(IsoProblem(a, b, c))
-    assert classify(IsoProblem(a, b, c)) == sol.case == CASE_HYPERBOLA
+    assert solve(IsoProblem(a, b, c)).case == sol.case == CASE_HYPERBOLA
     assert sol.max_length == tau(ORIGIN, Event(a, b, c)) > 0.0
     sol = solve(IsoProblem(0.0, 0.0, 0.0))
     assert sol.case == CASE_BROKEN_NULL and sol.T == 0.0 and sol.max_length == 0.0

@@ -23,8 +23,8 @@ from heislor.sr_metric import (
     _solve_arc_angle,
     ball_in_diamond,
     box_contains,
-    diamond_fibre,
     diamond_in_box_check,
+    diamond_null,
     fibre_max,
     sample_diamond,
     sr_distance,
@@ -238,9 +238,10 @@ def test_sample_diamond_thin_diamond_still_fills():
 
 
 def test_fibre_max_bounds_every_fibre():
-    # on a 401 x 401 grid of the planar diamond, for c/T^2 across (-1/4, 1/4)
-    # up to 1e-9 from the null ends, no fibre is longer than fibre_max, which
-    # the fibre over (T/2, -2c/T) attains
+    # on a 401 x 401 grid of the null square [0, T/2]^2, for c/T^2 across
+    # (-1/4, 1/4) up to 1e-9 from the null ends, no fibre is longer than
+    # fibre_max, which the fibre over alpha = T/4 - c/T, beta = T/4 + c/T
+    # attains
     T = 1.7
     g = np.linspace(0.0, 0.5 * T, 401)
     a, b = (v.ravel() for v in np.meshgrid(g, g))
@@ -248,19 +249,19 @@ def test_fibre_max_bounds_every_fibre():
         c = zt * T * T
         top = fibre_max(T * T, c)
         assert abs(top - (T * T / 8.0 - 2.0 * c * c / (T * T))) <= 1e-15 * T * T
-        length = diamond_fibre(T, c, a + b, a - b)[1]
+        length = diamond_null(T, c, a, b)[1]
         assert np.max(length) <= top + 1e-15 * T * T
-        at = diamond_fibre(T, c, 0.5 * T, -2.0 * c / T)[1]
+        at = diamond_null(T, c, 0.25 * T - c / T, 0.25 * T + c / T)[1]
         assert abs(at - top) <= 1e-15 * T * T
 
 
 def test_nonempty_fibres_lie_in_the_strip():
     # for c/T^2 of both signs up to 1e-9 from the null ends, every fibre of
-    # positive length over a grid of [0, T/2]^2, and every draw of
-    # fibre_hits, lies in the strip 2 alpha gamma < eps = T^2/4 - |c|,
-    # (x, y) = (alpha + beta, alpha - beta), gamma = T/2 - beta, with alpha
-    # and beta swapped for c < 0.  The grid is graded towards both ends, where
-    # the strip is thin near null.
+    # positive length over a grid of the null square [0, T/2]^2, and every
+    # draw of fibre_hits, lies in the strip 2 alpha (T/2 - beta) < eps =
+    # T^2/4 - |c|, with alpha and beta swapped for c < 0, over the planar
+    # diamond |y| <= min(x, T - x), (x, y) = (alpha + beta, alpha - beta).
+    # The grid is graded towards both ends, where the strip is thin near null.
     T = 1.7
     ends = np.concatenate([[0.0], np.logspace(-12.0, 0.0, 200)])
     g = 0.5 * T * np.unique(np.concatenate([ends, 1.0 - ends]))
@@ -268,35 +269,105 @@ def test_nonempty_fibres_lie_in_the_strip():
     for zt in np.concatenate([np.linspace(-0.249, 0.249, 41), [-0.25 + 1e-9, 0.25 - 1e-9]]):
         c = zt * T * T
         eps = 0.25 * T * T - abs(c)
-        length = diamond_fibre(T, c, a + b, a - b)[1]
+        length = diamond_null(T, c, a, b)[1]
         al, be = (a, b) if c >= 0.0 else (b, a)
         strip = 2.0 * al * (0.5 * T - be) < eps + 1e-15 * T * T
         assert np.any(length > 0.0) and np.all(strip[length > 0.0])
-        x, y, _, hit = sr_metric.fibre_hits(T * T, c, [3, 0], 4096)
-        al, be = (0.5 * (x + y), 0.5 * (x - y))[:: 1 if c >= 0.0 else -1]
+        al, be, _, hit = sr_metric.fibre_hits(T * T, c, [3, 0], 4096)
+        x, y = al + be, al - be
+        al, be = (al, be)[:: 1 if c >= 0.0 else -1]
         assert np.all(2.0 * al * (0.5 * T - be) < eps + 1e-15 * T * T)
         assert np.all(np.abs(y) <= np.minimum(x, T - x) + 1e-15 * T) and np.any(hit)
 
 
 @pytest.mark.parametrize("q", [Event(1.3, 0.0, 0.2), Event(2.0, 0.7, -0.3)])
 def test_fibre_membership_matches_cone_predicate(q):
-    # planar test plus lo <= z <= lo + L in the axis frame, against the two
-    # cone inequalities in the frame of q; points within 1e-12 of the
-    # fibre's or the planar diamond's edge are left out
+    # the null square alpha, beta in [0, T/2] plus lo <= z <= lo + L in the
+    # axis frame, against the two cone inequalities in the frame of q at
+    # (x, y) = (alpha + beta, alpha - beta); points within 1e-12 of the
+    # fibre's or the square's edge are left out
     a, b, c = q
     ch, sh, T = boost_to_axis(a, b)
     rng = np.random.default_rng(21)
     n = 200000
-    x = rng.uniform(-0.05 * T, 1.05 * T, n)
-    y = rng.uniform(-0.55 * T, 0.55 * T, n)
+    al = rng.uniform(-0.05 * T, 0.55 * T, n)
+    be = rng.uniform(-0.05 * T, 0.55 * T, n)
     z = 0.5 * c + rng.uniform(-0.1 * T * T, 0.1 * T * T, n)
-    lo, length = diamond_fibre(T, c, x, y)
-    margin = np.minimum.reduce([x - np.abs(y), T - x - np.abs(y), z - lo, lo + length - z])
+    lo, length = diamond_null(T, c, al, be)
+    margin = np.minimum.reduce([al, be, 0.5 * T - al, 0.5 * T - be, z - lo, lo + length - z])
     clear = np.abs(margin) > 1e-12
-    pts = np.column_stack([(np.column_stack([x, y]) @ np.array([[ch, sh], [sh, ch]]).T), z])
+    xy = np.column_stack([al + be, al - be])
+    pts = np.column_stack([(xy @ np.array([[ch, sh], [sh, ch]]).T), z])
     member = _in_diamond(pts, ORIGIN, q)
     assert np.array_equal((margin > 0.0)[clear], member[clear])
     assert 0.02 < np.mean(member) < 0.98 and np.mean(clear) > 0.999
+
+
+def _rational_fibre(T, c, alpha, beta):
+    # [lo, hi] of J(0, (T, 0, c)) over (x, y) = (alpha + beta, alpha - beta)
+    # in rationals, from the cone inequalities |z| <= f = (x^2 - y^2)/4 and
+    # |z - m| <= g = ((T - x)^2 - y^2)/4, m = c + T y/2
+    T, c, alpha, beta = map(Fraction, (T, c, alpha, beta))
+    x, y = alpha + beta, alpha - beta
+    f, g, m = (x * x - y * y) / 4, ((T - x) ** 2 - y * y) / 4, c + T * y / 2
+    return max(-f, m - g), min(f, m + g)
+
+
+def _null_square(T, n, seed):
+    # n seeded points of the null square [0, T/2]^2, and its corners
+    al, be = np.random.default_rng(seed).uniform(0.0, 0.5 * T, (2, n))
+    corners = np.array([0.0, 0.5 * T])
+    return np.concatenate([al, np.repeat(corners, 2)]), np.concatenate([be, np.tile(corners, 2)])
+
+
+@pytest.mark.parametrize("T", [1e-3, 1.7, 1e3])
+def test_diamond_null_is_exact_on_fractions_and_rounded_on_floats(T):
+    # on object arrays of Fractions, diamond_null is the rational fibre of
+    # the cone inequalities in (x, y), exactly, empty fibres included; on
+    # the same floats it is within eps T^2 of it
+    tol = Fraction(np.finfo(float).eps) * Fraction(T) ** 2
+    for zt in (0.0, 0.1, -0.2, 0.2499, -0.25 + 1e-9):
+        c = zt * T * T
+        al, be = _null_square(T, 300, 37)
+        lo, length = diamond_null(T, c, al, be)
+        Tq, cq = Fraction(T), Fraction(c)
+        alq = np.array([Fraction(v) for v in al], dtype=object)
+        beq = np.array([Fraction(v) for v in be], dtype=object)
+        loq, lengthq = diamond_null(Tq, cq, alq, beq)
+        for i in range(len(al)):
+            want_lo, want_hi = _rational_fibre(T, c, al[i], be[i])
+            assert loq[i] == want_lo and loq[i] + lengthq[i] == want_hi
+            assert abs(Fraction(lo[i]) - want_lo) <= tol
+            assert abs(Fraction(length[i]) - (want_hi - want_lo)) <= tol
+
+
+@pytest.mark.parametrize("zt", [0.1, 0.2499, 0.25 - 1e-9])
+def test_fibre_hits_negative_c_swaps_the_null_coordinates(zt):
+    # (x, y, z) -> (x, -y, -z) maps J(0, (T, 0, c)) onto J(0, (T, 0, -c)):
+    # the draws for -c are those for c with alpha and beta swapped and z
+    # negated, bit for bit
+    T2 = 1.7 ** 2
+    al, be, z, hit = sr_metric.fibre_hits(T2, zt * T2, [11, 2], 5000)
+    al2, be2, z2, hit2 = sr_metric.fibre_hits(T2, -zt * T2, [11, 2], 5000)
+    assert np.array_equal(al2, be) and np.array_equal(be2, al)
+    assert np.array_equal(z2, -z) and np.array_equal(hit2, hit) and np.any(hit)
+
+
+@pytest.mark.parametrize("zt", [0.0, 0.1, -0.1, 0.2, -0.2])
+def test_fibre_lengths_integrate_to_the_closed_volume(zt):
+    # vol J(0, (T, 0, c)) = int max(L, 0) dx dy = 2 int max(L, 0) d alpha
+    # d beta, by the midpoint rule on a 1000 x 1000 grid of [0, T/2]^2
+    from heislor.measure import diamond_volume_closed
+
+    T = 1.7
+    k = 1000
+    h = 0.5 * T / k
+    g = (np.arange(k) + 0.5) * h
+    a, b = np.meshgrid(g, g)
+    length = diamond_null(T, zt * T * T, a, b)[1]
+    quad = 2.0 * np.sum(np.maximum(length, 0.0)) * h * h
+    closed = diamond_volume_closed(ORIGIN, Event(T, 0.0, zt * T * T))
+    assert abs(quad - closed) <= 1e-5 * closed
 
 
 def test_sample_diamond_prefix_stable():
