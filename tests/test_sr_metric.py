@@ -313,27 +313,22 @@ def _rational_fibre(T, c, alpha, beta):
     return max(-f, m - g), min(f, m + g)
 
 
-def _null_square(T, n, seed):
-    # n seeded points of the null square [0, T/2]^2, and its corners
-    al, be = np.random.default_rng(seed).uniform(0.0, 0.5 * T, (2, n))
-    corners = np.array([0.0, 0.5 * T])
-    return np.concatenate([al, np.repeat(corners, 2)]), np.concatenate([be, np.tile(corners, 2)])
-
-
 @pytest.mark.parametrize("T", [1e-3, 1.7, 1e3])
 def test_diamond_null_is_exact_on_fractions_and_rounded_on_floats(T):
     # on object arrays of Fractions, diamond_null is the rational fibre of
     # the cone inequalities in (x, y), exactly, empty fibres included; on
-    # the same floats it is within eps T^2 of it
+    # the same floats it is within eps T^2 of it.  300 seeded points of the
+    # square [0, T/2]^2 and its corners.
     tol = Fraction(np.finfo(float).eps) * Fraction(T) ** 2
+    al, be = np.random.default_rng(37).uniform(0.0, 0.5 * T, (2, 300))
+    corners = np.array([0.0, 0.5 * T])
+    al, be = np.concatenate([al, np.repeat(corners, 2)]), np.concatenate([be, np.tile(corners, 2)])
+    alq = np.array([Fraction(v) for v in al], dtype=object)
+    beq = np.array([Fraction(v) for v in be], dtype=object)
     for zt in (0.0, 0.1, -0.2, 0.2499, -0.25 + 1e-9):
         c = zt * T * T
-        al, be = _null_square(T, 300, 37)
         lo, length = diamond_null(T, c, al, be)
-        Tq, cq = Fraction(T), Fraction(c)
-        alq = np.array([Fraction(v) for v in al], dtype=object)
-        beq = np.array([Fraction(v) for v in be], dtype=object)
-        loq, lengthq = diamond_null(Tq, cq, alq, beq)
+        loq, lengthq = diamond_null(Fraction(T), Fraction(c), alq, beq)
         for i in range(len(al)):
             want_lo, want_hi = _rational_fibre(T, c, al[i], be[i])
             assert loq[i] == want_lo and loq[i] + lengthq[i] == want_hi
