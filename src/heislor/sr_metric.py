@@ -224,7 +224,7 @@ def _strip(T2: float, c: float):
 
 def envelope_volume(T2: float, c: float) -> float:
     """The volume B = 2 fibre_max A that fibre_hits' draws fill, A the area
-    of the strip 2 alpha gamma < T^2/4 - |c|; B >= vol J(0, (T, 0, c))."""
+    of the strip 2 alpha (T/2 - beta) < T^2/4 - |c|; B >= vol J(0, (T, 0, c))."""
     eps, span = _strip(T2, c)
     return fibre_max(T2, c) * eps * span
 

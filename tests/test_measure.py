@@ -121,7 +121,7 @@ def test_mc_degenerate_cases():
 def test_mc_is_hit_or_miss(q):
     # B k / n for a whole number k of hits, B the volume the draws fill, no
     # less than the diamond's, and the binomial stderr.  The draws fill the
-    # height T^2/8 - 2 c^2/T^2 over the strip 2 alpha gamma < eps =
+    # height T^2/8 - 2 c^2/T^2 over the strip 2 alpha (T/2 - beta) < eps =
     # T^2/4 - |c| of [0, T/2]^2, of area A = (eps/2)(1 + ln(T^2/(2 eps))),
     # which (alpha, beta) -> (x, y) doubles; less than the height over the
     # whole planar diamond, T^4/16 - c^2
